@@ -7,12 +7,13 @@ driver.  Modules:
     kernels           free resolvent boundary values, small-eta expansion
     spectral_map      eta <-> lambda change of variables, Stone jacobian
     oscillatory       panel quadrature for Stone-type integrals
-    partial_waves     radial grids, sector operators, Legendre resummation
+    partial_waves     radial grids, sector-kernel quadrature, Legendre resummation
     birman_schwinger  potentials, M(eta), threshold classification, tuning
     propagator        time kernels, threshold corrections, weighted norms
     decayfit          log-log decay-rate fits
     harness           experiment configs, orchestration, reports
     cli               command-line entry point
+    errors            exception types
 """
 
 from .birman_schwinger import (

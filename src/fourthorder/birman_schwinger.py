@@ -192,11 +192,16 @@ class Classification:
         return "\n".join(lines) + "\n"
 
 
-def _null_split(matrix: np.ndarray, tol: float):
-    """Singular values plus the null basis under a relative threshold."""
+def _null_split(matrix: np.ndarray, tol: float, scale: float | None = None):
+    """Singular values plus the null basis under the threshold tol * scale.
+
+    scale defaults to the largest singular value (a relative threshold);
+    unit-scale operators pass scale = 1 for an absolute one.
+    """
     u, s, vt = np.linalg.svd(matrix)
-    smax = s[0] if s[0] > 0.0 else 1.0
-    thr = tol * smax
+    if scale is None:
+        scale = s[0] if s[0] > 0.0 else 1.0
+    thr = tol * scale
     ambiguous = (s > thr / 3.0) & (s < thr * 3.0)
     if np.any(ambiguous):
         raise IndeterminateClassification(
@@ -257,7 +262,7 @@ def classify(
         if ell == 0:
             p = build_P(potential, grid).matrix
             t1 = q.T @ p @ q
-            s1v, null1, _ = _null_split_absolute(t1, tol)
+            s1v, null1, _ = _null_split(t1, tol, scale=1.0)
             singular["T1"][ell] = s1v[::-1]
             if null1.shape[1]:
                 s2_basis[ell] = q @ null1
@@ -300,19 +305,6 @@ def classify(
     )
 
 
-def _null_split_absolute(matrix: np.ndarray, tol: float):
-    """Null split against an absolute threshold (unit-scale operators)."""
-    u, s, vt = np.linalg.svd(matrix)
-    ambiguous = (s > tol / 3.0) & (s < tol * 3.0)
-    if np.any(ambiguous):
-        raise IndeterminateClassification(
-            f"singular values {s[ambiguous]} sit within 3x of the absolute threshold {tol:.3e}",
-            singular_values=s,
-        )
-    null = s < tol
-    return s, vt[null].conj().T, tol
-
-
 def _as_matrix(op):
     return op.matrix if isinstance(op, SectorOperator) else np.asarray(op)
 
@@ -323,19 +315,23 @@ def jn_invert(M, S):
     With S a finite-rank orthogonal projection commuting with nothing in
     particular, M is invertible iff M + S is and M1 = S - S(M+S)^{-1}S is
     on range(S); then M^{-1} = (M+S)^{-1} + (M+S)^{-1} S M1^{-1} S (M+S)^{-1}.
-    Raises SingularFactorError naming "M + S" or "M1" past cond 1e12.
+    A zero S gives the plain inverse.  Raises SingularFactorError naming
+    "M + S", or "M" for a zero S, or "M1" past cond 1e12, prefixed with
+    the sector when M is a SectorOperator.
     """
     mat = _as_matrix(M)
     s = _as_matrix(S)
     if s.shape != mat.shape:
         raise ValueError("projection shape does not match the operator")
-    if np.linalg.norm(s) > 0.0:
+    split = np.linalg.norm(s) > 0.0
+    if split:
         if not np.allclose(s @ s, s, atol=1e-8) or not np.allclose(s, s.conj().T, atol=1e-8):
             raise ValueError("S must be an orthogonal projection")
+    where = f"sector {M.ell} " if isinstance(M, SectorOperator) else ""
     mps = mat + s.astype(mat.dtype, copy=False)
     cond = np.linalg.cond(mps)
     if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularFactorError("M + S", cond)
+        raise SingularFactorError(where + ("M + S" if split else "M"), cond)
     mps_inv = np.linalg.inv(mps)
     rank = int(round(np.real(np.trace(s))))
     if rank == 0:
@@ -346,7 +342,7 @@ def jn_invert(M, S):
         m1 = np.eye(q.shape[1], dtype=mps_inv.dtype) - q.conj().T @ mps_inv @ q
         cond1 = np.linalg.cond(m1)
         if not np.isfinite(cond1) or cond1 > COND_LIMIT:
-            raise SingularFactorError("M1", cond1)
+            raise SingularFactorError(where + "M1", cond1)
         m1_inv = q @ np.linalg.inv(m1) @ q.conj().T
         inv = mps_inv + mps_inv @ m1_inv @ mps_inv
     if isinstance(M, SectorOperator):

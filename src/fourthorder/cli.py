@@ -1,6 +1,6 @@
 """Command-line driver.
 
-    fourthorder <experiment> --config PATH [--out DIR] [--threads N] [--seed K]
+    fourthorder <experiment> --config PATH [--out DIR] [--threads N]
 
 The subcommand must match the config's experiment.name.  Thread count
 defaults to the FOURTHORDER_THREADS environment variable (then 1); the
@@ -20,7 +20,6 @@ from .errors import (
     BracketError,
     ConfigError,
     ConvergenceError,
-    DiagnosticError,
     ExpansionMismatchError,
     IndeterminateClassification,
     SingularFactorError,
@@ -34,7 +33,6 @@ _FAILURES = (
     BracketError,
     ConfigError,
     ConvergenceError,
-    DiagnosticError,
     ExpansionMismatchError,
     IndeterminateClassification,
     SingularFactorError,
@@ -60,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help=f"worker threads (default: ${THREADS_ENV} or 1)",
         )
-        p.add_argument("--seed", type=int, default=None, help="override the config's seed")
     return parser
 
 
@@ -76,20 +73,20 @@ def _diagnostic(exc: Exception) -> str:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads is not None:
-        threads = args.threads
-    else:
-        threads = int(os.environ.get(THREADS_ENV, "1"))
-
     try:
+        threads = args.threads
+        if threads is None:
+            raw = os.environ.get(THREADS_ENV, "1")
+            try:
+                threads = int(raw)
+            except ValueError:
+                raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
         config = parse_config(Path(args.config).read_text())
         if config.experiment != args.experiment:
             raise ConfigError(
                 f"subcommand {args.experiment!r} does not match "
                 f"experiment.name = {config.experiment!r}"
             )
-        if args.seed is not None:
-            config = config.with_seed(args.seed)
         report = run(config, args.out, threads=threads)
     except _FAILURES as exc:
         print(_diagnostic(exc), file=sys.stderr)

@@ -22,7 +22,7 @@ class TruncationError(RuntimeError):
 class SingularFactorError(RuntimeError):
     """A factor required to be invertible is numerically singular.
 
-    ``factor`` names which one (e.g. ``"M + S"`` or ``"M1"``).
+    ``factor`` names which one (e.g. ``"M + S"``, ``"M1"`` or ``"sector 3 M"``).
     """
 
     def __init__(self, factor: str, cond: float):
@@ -52,7 +52,3 @@ class IndeterminateClassification(RuntimeError):
 
 class ExpansionMismatchError(RuntimeError):
     """A fitted expansion disagrees with its expected remainder scale."""
-
-
-class DiagnosticError(RuntimeError):
-    """A probe or fit produced data too degenerate to interpret."""

@@ -61,7 +61,6 @@ EXPERIMENTS = (
 # key -> (type tag, default, required); None default means "absent unless given"
 _COMMON = {
     "experiment.name": ("str", None, True),
-    "seed": ("int", 0, False),
     "output.json": ("str", "report.json", False),
     "output.csv": ("str", "samples.csv", False),
     "output.meta": ("str", "report.meta.json", False),
@@ -167,11 +166,6 @@ class ExperimentConfig:
     def get(self, key, default=None):
         return self.values.get(key, default)
 
-    def with_seed(self, seed: int) -> "ExperimentConfig":
-        values = dict(self.values)
-        values["seed"] = int(seed)
-        return ExperimentConfig(self.experiment, values)
-
 
 def _coerce(key: str, text: str, tag: str):
     try:
@@ -225,6 +219,8 @@ def _validate(name: str, values: dict) -> None:
         raise ConfigError("window.samples must be at least 5 (decay fits need 5 points)")
     if "evolution.subtract" in values and values["evolution.subtract"] not in ("auto", "none"):
         raise ConfigError("evolution.subtract must be 'auto' or 'none'")
+    if "expect.subtracted_exponent" in values and values.get("evolution.subtract") == "none":
+        raise ConfigError("expect.subtracted_exponent needs evolution.subtract = auto")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -468,8 +464,6 @@ def _run_perturbed_decay(config: ExperimentConfig, threads: int):
             _fit_assertion("raw-exponent", fits[0], config["expect.raw_exponent"], band)
         )
     if config.get("expect.subtracted_exponent") is not None:
-        if subtract != "auto":
-            raise ConfigError("expect.subtracted_exponent needs evolution.subtract = auto")
         assertions.append(
             _fit_assertion(
                 "subtracted-exponent", fits[1], config["expect.subtracted_exponent"], band

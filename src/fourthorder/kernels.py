@@ -75,21 +75,6 @@ def free_resolvent_diff(eta, r):
     return 1j * eta * np.sinc(eta * r / np.pi) / (2.0 * np.pi * (1.0 + 2.0 * eta * eta))
 
 
-def free_resolvent_deta(sign, eta, r):
-    """Analytic derivative of ``free_resolvent`` in eta at fixed r."""
-    s = _sign_factor(sign)
-    eta, r = _broadcast(eta, r)
-    kappa = np.sqrt(1.0 + eta * eta)
-    w = 1.0 + 2.0 * eta * eta
-    # d/deta [A(eta) N(eta, r)] with A = 1/(1+2 eta^2):
-    #   A'/A * (A N)  +  A * dN/deta,
-    # and dN/deta = (i s e^{i s eta r} + (eta/kappa) e^{-kappa r}) / (4 pi).
-    base = free_resolvent(sign, eta, r)
-    ratio = -4.0 * eta / w
-    dnum = 1j * s * np.exp(1j * s * eta * r) + (eta / kappa) * np.exp(-kappa * r)
-    return ratio * base + dnum / (FOUR_PI * w)
-
-
 def expansion_G(j: int, r):
     """Closed form of the j-th small-eta expansion kernel, j in 0..4.
 

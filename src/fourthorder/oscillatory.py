@@ -19,19 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decayfit import DecayFit, RELIABLE_RESIDUAL, fit_decay
-from .errors import ConvergenceError, DiagnosticError, TruncationError
+from .errors import ConvergenceError, TruncationError
 from .spectral_map import eta_of_lambda, lambda_of_eta, stone_jacobian
 
 __all__ = [
     "IntegrationPlan",
     "QuadResult",
-    "SplitPoints",
     "improper_tail",
     "panel_edges",
-    "split_points",
     "stone_integral",
-    "van_der_corput_probe",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
@@ -59,14 +55,6 @@ class QuadResult:
 
 
 @dataclass(frozen=True)
-class SplitPoints:
-    """Low-energy cut separating the regimes of the time-decay analysis."""
-
-    low_cut: float
-    regime: str
-
-
-@dataclass(frozen=True)
 class IntegrationPlan:
     """Finite-interval plan: where to put panel edges for a given time."""
 
@@ -86,15 +74,6 @@ class IntegrationPlan:
             raise ValueError("tolerance must be positive")
         if self.max_panels < 1:
             raise ValueError("max_panels must be positive")
-
-
-def split_points(t: float) -> SplitPoints:
-    """Energy cut below which the expansion-driven analysis applies."""
-    if not (t > 0.0 and np.isfinite(t)):
-        raise ValueError(f"time must be positive and finite, got {t}")
-    if t > 1.0:
-        return SplitPoints(low_cut=t**-0.5, regime="large-time")
-    return SplitPoints(low_cut=t**-0.25, regime="small-time")
 
 
 def panel_edges(plan: IntegrationPlan) -> np.ndarray:
@@ -262,44 +241,3 @@ def improper_tail(
             )
         eta_max *= 1.5
     raise TruncationError(f"tail certificate stalled above tol={tol} (bound {bound:.3e})")
-
-
-def van_der_corput_probe(g, t_grid, tol: float = 1e-8) -> DecayFit:
-    """Decay fit of |∫_0^∞ e^{-it(eta^4+eta^2)} g(eta) d eta| on a t-grid.
-
-    No spectral jacobian here: this probes the bare phase average of a
-    smooth amplitude, whose modulus should fall at least like t^(-1/2).
-    g must be effectively supported where it is sampled; the support is
-    detected by scanning until g is negligible.
-    """
-    ts = np.asarray(t_grid, dtype=float)
-    if ts.size < 5:
-        raise ValueError("need at least 5 times for a decay fit")
-    if np.any(ts <= 0.0) or not np.all(np.isfinite(ts)):
-        raise ValueError("times must be positive and finite")
-
-    eta_cut = 4.0
-    scale = 0.0
-    for _ in range(12):
-        probe = np.abs(np.asarray(g(np.linspace(0.0, eta_cut, 257)), dtype=complex))
-        scale = max(scale, float(probe.max()))
-        if scale == 0.0 or float(probe[-16:].max()) <= 1e-13 * scale:
-            break
-        eta_cut *= 2.0
-    if scale == 0.0:
-        raise DiagnosticError("amplitude vanishes identically; nothing to fit")
-
-    samples = []
-    for t in np.sort(ts):
-        plan = IntegrationPlan(t=float(t), interval=(0.0, eta_cut), tol=tol)
-        res = _integrate(g, plan)
-        mag = abs(res.value)
-        if mag <= 1e-13 * scale:
-            raise DiagnosticError(f"integral at t={t} is numerically zero; fit impossible")
-        samples.append((float(t), mag))
-    fit = fit_decay(samples)
-    if fit.residual > RELIABLE_RESIDUAL:
-        raise DiagnosticError(
-            f"decay fit unreliable: residual {fit.residual:.3f} over window {fit.window}"
-        )
-    return fit

@@ -20,10 +20,12 @@ smooth integrand (the s ds jacobian supplies the vanishing factor).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+
+from .kernels import FOUR_PI
 
 __all__ = [
     "RadialGrid",
@@ -32,19 +34,11 @@ __all__ = [
     "build_sector_operator",
     "default_r_max",
     "legendre_project",
-    "load_operator",
     "resum_sectors",
-    "save_operator",
-    "suggested_ell_max",
 ]
 
-# Classification probes sectors 0..2; pointwise reconstruction needs far
-# more angular resolution.
+# Classification probes sectors 0..2.
 ELL_MAX_CLASSIFY = 2
-ELL_MAX_RECONSTRUCT = 40
-
-_MAGIC = b"FOSEC1\n"
-_VERSION = 1
 
 
 def default_r_max(beta: float, floor: float = 1e-8) -> float:
@@ -110,9 +104,6 @@ class SectorOperator:
     grid: RadialGrid
     matrix: np.ndarray
 
-    def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.matrix @ coeffs
-
 
 def _legendre_rows(ell_max: int, mu: np.ndarray) -> np.ndarray:
     """P_0..P_ell_max at mu by upward recurrence; shape (ell_max+1, *mu.shape)."""
@@ -158,6 +149,29 @@ def legendre_project(kernel, ell: int, r: float, r_prime: float, n_mu: int | Non
     return (2.0 * np.pi / (r * r_prime)) * 0.5 * (b - a) * np.sum(w * vals * s * pl)
 
 
+@lru_cache(maxsize=256)
+def _gauss_rule(order: int):
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _pair_projection(kernel, ell: int, r: np.ndarray, r_prime: np.ndarray, n_mu: int) -> np.ndarray:
+    """K_l(r_k, r'_k) for each pair of positive radii, vectorised over pairs."""
+    x, w = _gauss_rule(n_mu)
+    a, b = np.abs(r - r_prime), r + r_prime
+    half = 0.5 * (b - a)
+    s = half[:, None] * x[None, :] + 0.5 * (a + b)[:, None]
+    mu = (r[:, None] ** 2 + r_prime[:, None] ** 2 - s**2) / (2.0 * r * r_prime)[:, None]
+    np.clip(mu, -1.0, 1.0, out=mu)
+    vals = np.asarray(kernel(s.ravel())).reshape(s.shape)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("kernel produced non-finite samples on the separation range")
+    pl = _legendre_rows(ell, mu)[ell]
+    return (2.0 * np.pi / (r * r_prime)) * half * ((vals * s * pl) @ w)
+
+
 def build_sector_operator(
     kernel, ell: int, grid: RadialGrid, n_mu: int | None = None, oscillation: float = 0.0
 ) -> SectorOperator:
@@ -173,18 +187,7 @@ def build_sector_operator(
     r = grid.nodes
     n = grid.count
     iu, ju = np.triu_indices(n)
-    ri, rj = r[iu], r[ju]
-    a, b = np.abs(ri - rj), ri + rj
-    x, w = np.polynomial.legendre.leggauss(n_mu)
-    half = 0.5 * (b - a)
-    s = half[:, None] * x[None, :] + 0.5 * (a + b)[:, None]
-    mu = (ri[:, None] ** 2 + rj[:, None] ** 2 - s**2) / (2.0 * ri * rj)[:, None]
-    np.clip(mu, -1.0, 1.0, out=mu)
-    vals = np.asarray(kernel(s.ravel())).reshape(s.shape)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("kernel produced non-finite samples on the separation range")
-    pl = _legendre_rows(ell, mu)[ell]
-    proj = (2.0 * np.pi / (ri * rj)) * half * ((vals * s * pl) @ w)
+    proj = _pair_projection(kernel, ell, r[iu], r[ju], n_mu)
     sw = np.sqrt(grid.weights)
     scale_i = sw[iu] * r[iu]
     scale_j = sw[ju] * r[ju]
@@ -194,47 +197,11 @@ def build_sector_operator(
     return SectorOperator(ell=ell, grid=grid, matrix=mat)
 
 
-def suggested_ell_max(eta: float, r_sum: float) -> int:
-    """Sectors needed to reconstruct an oscillatory kernel pointwise."""
-    return max(ELL_MAX_RECONSTRUCT, int(np.ceil(abs(eta) * r_sum)) + 24)
-
-
 def resum_sectors(sector_values, cos_gamma: float):
     """Sum_l (2l+1)/(4*pi) K_l P_l(cos gamma) over the supplied sectors."""
     vals = np.asarray(sector_values)
     if not -1.0 <= cos_gamma <= 1.0:
         raise ValueError("cos_gamma must lie in [-1, 1]")
-    ell_max = vals.shape[0] - 1
-    pl = _legendre_rows(ell_max, np.array([float(cos_gamma)]))[:, 0]
-    weights = (2.0 * np.arange(ell_max + 1) + 1.0) / (4.0 * np.pi)
-    return np.tensordot(weights * pl, vals, axes=(0, 0))
-
-
-def save_operator(path, op: SectorOperator) -> None:
-    """Write a sector operator in the portable binary layout."""
-    header = _MAGIC + struct.pack(
-        "<III d", _VERSION, op.ell, op.grid.count, op.grid.r_max
-    )
-    mat = np.ascontiguousarray(op.matrix.astype(np.complex128))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(mat.astype("<c16").tobytes())
-
-
-def load_operator(path) -> SectorOperator:
-    """Read an operator written by save_operator, validating the header."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(_MAGIC):
-        raise ValueError("not a sector-operator file (bad magic)")
-    off = len(_MAGIC)
-    version, ell, count, r_max = struct.unpack_from("<III d", blob, off)
-    if version != _VERSION:
-        raise ValueError(f"unsupported format version {version}")
-    off += struct.calcsize("<III d")
-    expected = count * count * 16
-    if len(blob) - off != expected:
-        raise ValueError(f"payload is {len(blob) - off} bytes, expected {expected}")
-    mat = np.frombuffer(blob[off:], dtype="<c16").reshape(count, count).astype(np.complex128)
-    grid = build_grid(count, r_max)
-    return SectorOperator(ell=int(ell), grid=grid, matrix=mat)
+    ell = np.arange(vals.shape[0])
+    pl = _legendre_rows(ell[-1], np.array([float(cos_gamma)]))[:, 0]
+    return np.tensordot((2.0 * ell + 1.0) / FOUR_PI * pl, vals, axes=(0, 0))

@@ -31,9 +31,16 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .birman_schwinger import Potential, build_M
-from .errors import SingularFactorError
-from .kernels import FOUR_PI, MINUS, PLUS, free_resolvent, free_resolvent_diff
+from .birman_schwinger import (
+    Potential,
+    _projection,
+    _restricted_inverse,
+    _sandwich,
+    build_M,
+    build_P,
+    jn_invert,
+)
+from .kernels import FOUR_PI, MINUS, PLUS, _sign_factor, expansion_G, free_resolvent, free_resolvent_diff
 from .oscillatory import (
     DEFAULT_MAX_PANELS,
     IntegrationPlan,
@@ -41,9 +48,15 @@ from .oscillatory import (
     _integrate,
     improper_tail,
 )
-from .spectral_map import stone_jacobian
-from .partial_waves import ELL_MAX_CLASSIFY, RadialGrid, _legendre_rows, _n_mu_default
-from .spectral_map import eta_of_lambda, lambda_of_eta
+from .partial_waves import (
+    ELL_MAX_CLASSIFY,
+    RadialGrid,
+    _n_mu_default,
+    _pair_projection,
+    build_sector_operator,
+    resum_sectors,
+)
+from .spectral_map import eta_of_lambda, lambda_of_eta, stone_jacobian
 
 __all__ = [
     "CorrectionCache",
@@ -116,35 +129,14 @@ class PropagatorSample:
     est_error: float
 
 
-@lru_cache(maxsize=256)
-def _gauss_rule(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
-def _sector_row(kernel, ell: int, r: float, grid: RadialGrid, n_mu: int) -> np.ndarray:
-    """K_l(r, r_j) against every grid node for an off-grid radius r."""
-    nodes = grid.nodes
-    if r < 1e-300:
-        vals = np.asarray(kernel(nodes))
-        return FOUR_PI * vals if ell == 0 else np.zeros(grid.count, dtype=complex)
-    x, w = _gauss_rule(n_mu)
-    a, b = np.abs(r - nodes), r + nodes
-    half = 0.5 * (b - a)
-    s = half[:, None] * x[None, :] + 0.5 * (a + b)[:, None]
-    mu = (r**2 + nodes[:, None] ** 2 - s**2) / (2.0 * r * nodes)[:, None]
-    np.clip(mu, -1.0, 1.0, out=mu)
-    vals = np.asarray(kernel(s.ravel())).reshape(s.shape)
-    pl = _legendre_rows(ell, mu)[ell]
-    return (2.0 * np.pi / (r * nodes)) * half * ((vals * s * pl) @ w)
-
-
 def _sandwich_vector(eta: float, ell: int, r: float, potential: Potential, grid: RadialGrid) -> np.ndarray:
     """Coefficients of v R0+(eta; r, .): the off-grid contraction vector."""
-    n_mu = _n_mu_default(ell, 2.0 * abs(eta) * min(r, grid.r_max))
-    row = _sector_row(lambda s: free_resolvent(PLUS, eta, s), ell, r, grid, n_mu)
+    kernel = lambda s: free_resolvent(PLUS, eta, s)
+    if r < 1e-300:
+        row = FOUR_PI * kernel(grid.nodes) if ell == 0 else np.zeros(grid.count, dtype=complex)
+    else:
+        n_mu = _n_mu_default(ell, 2.0 * abs(eta) * min(r, grid.r_max))
+        row = _pair_projection(kernel, ell, np.full(grid.count, r), grid.nodes, n_mu)
     return np.sqrt(grid.weights) * grid.nodes * potential.half(grid.nodes) * row
 
 
@@ -163,28 +155,6 @@ def free_kernel(t: float, separation: float, tol: float = 1e-9) -> complex:
     return _free_kernel_result(t, separation, tol).value
 
 
-def _invert_sector(m_matrix: np.ndarray, s_proj: np.ndarray | None, ell: int) -> np.ndarray:
-    cond = np.linalg.cond(m_matrix)
-    if s_proj is None or not s_proj.any():
-        if not np.isfinite(cond) or cond > 1e12:
-            raise SingularFactorError(f"sector {ell} operator", cond)
-        return np.linalg.inv(m_matrix)
-    # near-threshold sectors go through the projection split
-    from .birman_schwinger import jn_invert
-
-    return jn_invert(m_matrix, s_proj)
-
-
-def _sector_projections(classification, n: int, ell_max: int) -> list:
-    projections = [None] * (ell_max + 1)
-    if classification is None:
-        return projections
-    for ell, basis in classification.s1_basis.items():
-        if ell <= ell_max:
-            projections[ell] = basis @ basis.conj().T
-    return projections
-
-
 def perturbed_resolvent(
     sign,
     eta: float,
@@ -201,18 +171,18 @@ def perturbed_resolvent(
     """
     if eta < 0.0:
         raise ValueError("eta must be nonnegative")
-    projections = _sector_projections(classification, grid.count, ell_max)
-    pl = _legendre_rows(ell_max, np.array([geometry.cos_gamma]))[:, 0]
-    total = 0.0 + 0.0j
+    sign = PLUS if _sign_factor(sign) > 0.0 else MINUS
+    s1 = {} if classification is None else classification.s1_basis
+    sands = []
     for ell in range(ell_max + 1):
         m_op = build_M(sign, eta, potential, grid, ell)
-        minv = _invert_sector(m_op.matrix, projections[ell], ell)
+        minv = jn_invert(m_op, _projection(s1.get(ell), grid.count)).matrix
         left = _sandwich_vector(eta, ell, geometry.r, potential, grid)
         right = _sandwich_vector(eta, ell, geometry.r_prime, potential, grid)
         if sign == MINUS:
             left, right = left.conj(), right.conj()
-        sand = left @ minv @ right
-        total += (2.0 * ell + 1.0) / FOUR_PI * pl[ell] * sand
+        sands.append(left @ minv @ right)
+    total = resum_sectors(sands, geometry.cos_gamma)
     return complex(free_resolvent(sign, eta, geometry.separation) - total)
 
 
@@ -239,10 +209,6 @@ class ThresholdData:
 
 def build_threshold_data(potential: Potential, grid: RadialGrid, classification) -> ThresholdData:
     """Assemble the null-space blocks the threshold corrections contract against."""
-    from .birman_schwinger import build_P
-    from .kernels import expansion_G
-    from .partial_waves import build_sector_operator
-
     l1 = potential.l1_norm(grid)
     x_block = None
     pole_blocks = {}
@@ -258,22 +224,18 @@ def build_threshold_data(potential: Potential, grid: RadialGrid, classification)
         if keep.any():
             inv = (vecs[:, keep] / vals[keep]) @ vecs[:, keep].T
             x_block = q @ inv @ q.T
-    v = potential.half(grid.nodes)
     for ell, q2 in classification.s2_basis.items():
-        body = build_sector_operator(lambda s: expansion_G(2, s), ell, grid).matrix
-        sandwiched = v[:, None] * body * v[None, :]
-        small = q2.T @ sandwiched @ q2
-        pole_blocks[ell] = q2 @ np.linalg.inv(small) @ q2.T
+        g2 = _sandwich(lambda s: expansion_G(2, s), potential, grid, ell)
+        pole_blocks[ell] = _restricted_inverse(g2, q2)
 
     pole_matrices = {}
-    projections = _sector_projections(classification, grid.count, ELL_MAX_CLASSIFY)
     for ell in classification.s1_basis:
         h = _POLE_FIT_ETA
+        projection = _projection(classification.s1_basis[ell], grid.count)
 
         def first_order(eta):
             m_op = build_M(PLUS, eta, potential, grid, ell)
-            minv = _invert_sector(m_op.matrix, projections[ell], ell)
-            return -eta * minv.imag
+            return -eta * jn_invert(m_op, projection).matrix.imag
 
         b1, b2 = first_order(h), first_order(2.0 * h)
         block = 2.0 * b1 - b2
@@ -305,13 +267,18 @@ def _short_interval_quad(integrand, cut: float, rel_tol: float = 1e-10):
 
 
 @lru_cache(maxsize=256)
-def _fresnel_weight(t: float, cut: float = 4.0) -> complex:
+def _fresnel_weight(
+    t: float, cut: float = 4.0, tol: float = 1e-10, max_panels: int = DEFAULT_MAX_PANELS
+) -> QuadResult:
     # full-range Stone weight of a first-order pole,
     # int_0^inf (4 eta^2 + 2) e^{-it lambda}: panels up to the cut, then
-    # the same closed-form tail the evolution subtraction uses
-    plan = IntegrationPlan(t=t, interval=(0.0, cut), tol=1e-10, max_panels=DEFAULT_MAX_PANELS)
+    # the closed-form tail.  F/G use the fixed cut; an evolution sample
+    # passes its own cut and budget, so its cost follows that cut.
+    plan = IntegrationPlan(t=t, interval=(0.0, cut), tol=tol, max_panels=max_panels)
     body = _integrate(lambda etas: 4.0 * etas**2 + 2.0, plan)
-    return complex(body.value + _pole_tail(t, cut).value)
+    tail = _pole_tail(t, cut)
+    value = complex(body.value + tail.value)
+    return QuadResult(value=value, error=body.error + tail.error, panels=body.panels)
 
 
 def _pole_sandwich(geometry: Geometry, data: ThresholdData, blocks: dict) -> complex:
@@ -320,17 +287,16 @@ def _pole_sandwich(geometry: Geometry, data: ThresholdData, blocks: dict) -> com
     Zero-energy boundary rows sandwich the given first-order pole blocks
     of the inverse; the -2i carries the (+)/(-) pairing of the residue.
     """
-    total = 0.0
+    sectors = np.zeros(max(blocks) + 1)
     for ell, block in blocks.items():
         left = _sandwich_vector(0.0, ell, geometry.r, data.potential, data.grid)
         right = _sandwich_vector(0.0, ell, geometry.r_prime, data.potential, data.grid)
-        pl = float(_legendre_rows(ell, np.array([geometry.cos_gamma]))[ell, 0])
-        total += (2.0 * ell + 1.0) / FOUR_PI * pl * (left @ block @ right).real
-    return -2j * total
+        sectors[ell] = (left @ block @ right).real
+    return -2j * resum_sectors(sectors, geometry.cos_gamma)
 
 
-def _difference_display(t: float, geometry: Geometry, data: ThresholdData, ell: int, block) -> complex:
-    """Second-kernel display term over [0, t^(-1/2)] in one sector.
+def _difference_display(t: float, geometry: Geometry, data: ThresholdData) -> complex:
+    """Second-kernel display over [0, t^(-1/2)], resummed over the pole-block sectors.
 
     The (+) minus (-) sandwich pairing vanishes linearly at eta = 0,
     taming the 2/eta weight; the Stone prefactor signs the term so that
@@ -338,18 +304,19 @@ def _difference_display(t: float, geometry: Geometry, data: ThresholdData, ell: 
     """
     cut = t**-0.5
     pot, grid = data.potential, data.grid
-    pl = float(_legendre_rows(ell, np.array([geometry.cos_gamma]))[ell, 0])
+    sectors = np.zeros(max(data.pole_blocks) + 1, dtype=complex)
+    for ell, block in data.pole_blocks.items():
 
-    def integrand(etas):
-        out = np.empty(etas.size, dtype=complex)
-        for k, eta in enumerate(etas):
-            left = _sandwich_vector(eta, ell, geometry.r, pot, grid)
-            right = _sandwich_vector(eta, ell, geometry.r_prime, pot, grid)
-            out[k] = 2j * (left @ block @ right).imag
-        return np.exp(-1j * t * lambda_of_eta(etas)) * (4.0 * etas + 2.0 / etas) * out
+        def integrand(etas):
+            out = np.empty(etas.size, dtype=complex)
+            for k, eta in enumerate(etas):
+                left = _sandwich_vector(eta, ell, geometry.r, pot, grid)
+                right = _sandwich_vector(eta, ell, geometry.r_prime, pot, grid)
+                out[k] = 2j * (left @ block @ right).imag
+            return np.exp(-1j * t * lambda_of_eta(etas)) * (4.0 * etas + 2.0 / etas) * out
 
-    term = _short_interval_quad(integrand, cut)
-    return -_STONE_PREFACTOR * (2.0 * ell + 1.0) / FOUR_PI * pl * term
+        sectors[ell] = _short_interval_quad(integrand, cut)
+    return -_STONE_PREFACTOR * resum_sectors(sectors, geometry.cos_gamma)
 
 
 def F_kernel(t: float, geometry: Geometry, data: ThresholdData) -> complex:
@@ -367,7 +334,7 @@ def F_kernel(t: float, geometry: Geometry, data: ThresholdData) -> complex:
     if data.x_block is None:
         return 0.0 + 0.0j
     shift = _pole_sandwich(geometry, data, {0: (FOUR_PI / data.l1_norm) * data.x_block})
-    return complex(-_STONE_PREFACTOR * shift * _fresnel_weight(t))
+    return complex(-_STONE_PREFACTOR * shift * _fresnel_weight(t).value)
 
 
 def G_kernel(t: float, geometry: Geometry, data: ThresholdData) -> complex:
@@ -388,9 +355,9 @@ def G_kernel(t: float, geometry: Geometry, data: ThresholdData) -> complex:
         value += F_kernel(t, geometry, data)
     if data.pole_matrices:
         shift = _pole_sandwich(geometry, data, data.pole_matrices)
-        value += -_STONE_PREFACTOR * shift * _fresnel_weight(t)
-    for ell, block in data.pole_blocks.items():
-        value += _difference_display(t, geometry, data, ell, block)
+        value += -_STONE_PREFACTOR * shift * _fresnel_weight(t).value
+    if data.pole_blocks:
+        value += _difference_display(t, geometry, data)
     return complex(value)
 
 
@@ -429,29 +396,20 @@ class CorrectionCache:
 
     def _build(self):
         pot, grid = self.potential, self.grid
-        projections = _sector_projections(self.classification, grid.count, self.ell_max)
+        s1 = self.classification.s1_basis
+        projections = [_projection(s1.get(ell), grid.count) for ell in range(self.ell_max + 1)]
         radii = sorted({g.r for g in self.geometries} | {g.r_prime for g in self.geometries})
-        pl = {
-            g: _legendre_rows(self.ell_max, np.array([g.cos_gamma]))[:, 0]
-            for g in self.geometries
-        }
-        w_raw = {g: np.empty(self.eta_nodes.size, dtype=complex) for g in self.geometries}
+        # per geometry, Im of each sector's sandwich at every eta node
+        sand_im = {g: np.empty((self.ell_max + 1, self.eta_nodes.size)) for g in self.geometries}
         for k, eta in enumerate(self.eta_nodes):
-            inverses = []
-            rows = {}
             for ell in range(self.ell_max + 1):
                 m_op = build_M(PLUS, float(eta), pot, grid, ell)
-                inverses.append(_invert_sector(m_op.matrix, projections[ell], ell))
-                for r in radii:
-                    rows[(ell, r)] = _sandwich_vector(float(eta), ell, r, pot, grid)
-            for g in self.geometries:
-                acc = 0.0 + 0.0j
-                for ell in range(self.ell_max + 1):
-                    sand = rows[(ell, g.r)] @ inverses[ell] @ rows[(ell, g.r_prime)]
-                    acc += (2.0 * ell + 1.0) / FOUR_PI * pl[g][ell] * 2j * sand.imag
-                w_raw[g][k] = eta * acc
+                minv = jn_invert(m_op, projections[ell]).matrix
+                rows = {r: _sandwich_vector(float(eta), ell, r, pot, grid) for r in radii}
+                for g in self.geometries:
+                    sand_im[g][ell, k] = (rows[g.r] @ minv @ rows[g.r_prime]).imag
         for g in self.geometries:
-            vals = w_raw[g]
+            vals = 2j * self.eta_nodes * resum_sectors(sand_im[g], g.cos_gamma)
             spline = CubicSpline(self.eta_nodes, vals)
             w1, w2 = spline(_POLE_FIT_ETA), spline(2.0 * _POLE_FIT_ETA)
             self._splines[g] = spline
@@ -518,6 +476,8 @@ def evolution_kernel(
         raise ValueError(f"subtract must be 'none' or 'auto', got {subtract!r}")
     if not t > 0.0:
         raise ValueError("time must be positive")
+    if geometry not in cache.geometries:
+        raise ValueError(f"{geometry} is not in the correction cache")
     verdict = cache.classification.verdict
     do_subtract = subtract == "auto" and verdict != "regular" and t > 1.0
 
@@ -548,11 +508,11 @@ def evolution_kernel(
     if do_subtract:
         # the pole's own tail is kept in closed form, so the shifted body
         # plus this term subtracts the pole over the full energy range
-        pole_body = _integrate(lambda etas: 4.0 * etas**2 + 2.0, plan)
         pole_tail = _pole_tail(t, float(eta_cut))
+        weight = _fresnel_weight(t, float(eta_cut), tol, max_panels)
         value += _STONE_PREFACTOR * shift * pole_tail.value
-        correction = -_STONE_PREFACTOR * shift * (pole_body.value + pole_tail.value)
-        est_error += abs(_STONE_PREFACTOR) * abs(shift) * (pole_body.error + pole_tail.error)
+        correction = -_STONE_PREFACTOR * shift * weight.value
+        est_error += abs(_STONE_PREFACTOR) * abs(shift) * weight.error
         label = "G" if cache.classification.s2_basis else "F"
     return PropagatorSample(
         t=t,
@@ -577,8 +537,6 @@ def weighted_operator(
     """Weighted sector matrix diag((1+r)^-s') R_V diag((1+r)^-s)."""
     if not (s > 0.5 and s_prime > 0.5):
         raise ValueError("weights need s, s' > 1/2")
-    from .partial_waves import build_sector_operator
-
     r0 = build_sector_operator(
         lambda sep: free_resolvent(sign, eta, sep), ell, grid, oscillation=eta
     ).matrix
@@ -586,8 +544,8 @@ def weighted_operator(
         body = r0
     else:
         m_op = build_M(sign, eta, potential, grid, ell)
-        proj = _sector_projections(classification, grid.count, ell)[ell]
-        minv = _invert_sector(m_op.matrix, proj, ell)
+        s1 = {} if classification is None else classification.s1_basis
+        minv = jn_invert(m_op, _projection(s1.get(ell), grid.count)).matrix
         v = potential.half(grid.nodes)
         body = r0 - r0 @ (v[:, None] * minv * v[None, :]) @ r0
     left = (1.0 + grid.nodes) ** (-s_prime)

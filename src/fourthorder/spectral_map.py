@@ -8,8 +8,6 @@ measure d(lambda) picks up the Jacobian 4 eta^3 + 2 eta.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -43,22 +41,3 @@ def stone_jacobian(eta):
     """d(lambda)/d(eta) = 4 eta^3 + 2 eta."""
     eta = _checked(eta, "eta")
     return eta * (4.0 * eta * eta + 2.0)
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """A point on the continuous spectrum in both parameterisations."""
-
-    lam: float
-    eta: float
-
-    @classmethod
-    def from_lambda(cls, lam: float) -> "SpectralPoint":
-        return cls(lam=float(lam), eta=float(eta_of_lambda(lam)))
-
-    @classmethod
-    def from_eta(cls, eta: float) -> "SpectralPoint":
-        return cls(lam=float(lambda_of_eta(eta)), eta=float(eta))
-
-    def jacobian(self) -> float:
-        return float(stone_jacobian(self.eta))

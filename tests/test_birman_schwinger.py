@@ -238,6 +238,17 @@ class TestProjectionSplitInversion:
         with pytest.raises(SingularFactorError, match="M1"):
             jn_invert(m, s)
 
+    def test_plain_inverse_names_the_sector(self, grid64):
+        # a zero S inverts M itself, so the diagnostic names M and, for a
+        # sector operator, its sector rather than a nonexistent M + S
+        zero = np.zeros((grid64.count, grid64.count))
+        with pytest.raises(SingularFactorError) as info:
+            jn_invert(zero, zero)
+        assert info.value.factor == "M"
+        with pytest.raises(SingularFactorError) as info:
+            jn_invert(SectorOperator(ell=3, grid=grid64, matrix=zero), zero)
+        assert info.value.factor == "sector 3 M"
+
     def test_rejects_non_projection(self):
         m = np.eye(3)
         with pytest.raises(ValueError, match="projection"):

@@ -25,13 +25,25 @@ expect.exponent = 5.0
 """
 
 
+PERTURBED = """
+experiment.name = perturbed-decay
+potential.profile = gaussian
+potential.coupling = -1.0
+window.t_lo = 10.0
+window.t_hi = 50.0
+window.samples = 5
+geometry.r = 1.0
+geometry.r_prime = 0.5
+geometry.cos_gamma = 0.2
+"""
+
+
 class TestParsing:
     def test_defaults_materialized(self):
         cfg = parse_config(CLASSIFY_ZERO)
         assert cfg.experiment == "classify"
         assert cfg["grid.count"] == 64
         assert cfg["grid.ell_max"] == 2
-        assert cfg["seed"] == 0
         assert cfg["output.json"] == "report.json"
 
     def test_comments_and_blank_lines_ignored(self):
@@ -53,11 +65,6 @@ class TestParsing:
         assert "expansion.order = 4" in text
         assert "window.eta_lo = 0.02" in text
 
-    def test_with_seed(self):
-        cfg = parse_config(EXPANSION).with_seed(7)
-        assert cfg["seed"] == 7
-        assert parse_config(EXPANSION)["seed"] == 0
-
     @pytest.mark.parametrize(
         "text, fragment",
         [
@@ -75,6 +82,10 @@ class TestParsing:
                 "experiment.name = classify\npotential.profile = polynomial\n"
                 "potential.coupling = -1.0\n",
                 "potential.beta",
+            ),
+            (
+                PERTURBED + "evolution.subtract = none\nexpect.subtracted_exponent = -1.5\n",
+                "needs evolution.subtract",
             ),
         ],
     )
@@ -222,18 +233,16 @@ class TestCli:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "FileNotFoundError"
 
-    def test_seed_flag_overrides_config(self, classify_cfg, tmp_path):
-        out = tmp_path / "r"
-        code = main(
-            ["classify", "--config", str(classify_cfg), "--out", str(out), "--seed", "11"]
-        )
-        assert code == 0
-        doc = json.loads((out / "report.json").read_text())
-        assert doc["config_echo"]["seed"] == 11
-
     def test_env_var_sets_default_threads(self, classify_cfg, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FOURTHORDER_THREADS", "2")
         code = main(["classify", "--config", str(classify_cfg), "--out", str(tmp_path / "r")])
         assert code == 0
         meta = json.loads((tmp_path / "r" / "report.meta.json").read_text())
         assert meta["threads"] == 2
+
+    def test_malformed_threads_env_is_a_diagnostic(self, classify_cfg, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("FOURTHORDER_THREADS", "abc")
+        code = main(["classify", "--config", str(classify_cfg), "--out", str(tmp_path / "r")])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert "FOURTHORDER_THREADS" in err["error"]["message"]

@@ -9,7 +9,6 @@ from fourthorder.kernels import (
     expansion_G,
     expansion_partial_sum,
     free_resolvent,
-    free_resolvent_deta,
     free_resolvent_diff,
 )
 
@@ -71,17 +70,6 @@ def test_boundary_difference():
     # diagonal: difference tends to i*eta/(2*pi*(1+2*eta^2))
     d0 = free_resolvent_diff(1.3, 0.0)
     assert d0 == pytest.approx(1j * 1.3 / (2.0 * np.pi * (1.0 + 2.0 * 1.3**2)), rel=1e-14)
-
-
-def test_eta_derivative_matches_finite_difference():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        eta = rng.uniform(0.05, 5.0)
-        r = rng.uniform(0.0, 8.0)
-        h = 1e-6
-        fd = (free_resolvent(PLUS, eta + h, r) - free_resolvent(PLUS, eta - h, r)) / (2 * h)
-        got = free_resolvent_deta(PLUS, eta, r)
-        assert got == pytest.approx(fd, rel=2e-8, abs=1e-12)
 
 
 def test_expansion_kernels_frozen_values():

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from fourthorder.errors import ConvergenceError, DiagnosticError, TruncationError
+from fourthorder.errors import ConvergenceError, TruncationError
 from fourthorder.oscillatory import (
     IntegrationPlan,
     _integrate,
     improper_tail,
     panel_edges,
-    split_points,
     stone_integral,
-    van_der_corput_probe,
 )
 from fourthorder.spectral_map import lambda_of_eta
 
@@ -42,20 +40,6 @@ def smoothed_indicator(eta, lo=1.0, hi=2.0, ramp=0.25):
     dn = (eta > hi - ramp) & (eta <= hi)
     out[dn] = np.sin(0.5 * np.pi * (hi - eta[dn]) / ramp) ** 2
     return out
-
-
-class TestSplitPoints:
-    def test_boundary_and_regimes(self):
-        assert split_points(1.0).low_cut == pytest.approx(1.0, abs=0.0)
-        assert split_points(100.0).low_cut == pytest.approx(0.1, abs=1e-16)
-        assert split_points(1.0 / 16.0).low_cut == pytest.approx(2.0, abs=1e-15)
-        assert split_points(0.5).regime == "small-time"
-        assert split_points(2.0).regime == "large-time"
-
-    def test_domain(self):
-        for bad in (0.0, -3.0, np.inf, np.nan):
-            with pytest.raises(ValueError):
-                split_points(bad)
 
 
 class TestPlan:
@@ -185,18 +169,11 @@ class TestImproperTail:
             improper_tail(f, 5.0, 1.0, tol=1e-9, envelope=(1.0, 1.0), max_eta=5.0)
 
 
-class TestVanDerCorputProbe:
+class TestEngineSamples:
     def test_gaussian_amplitude_engine_sample(self):
         plan = IntegrationPlan(t=100.0, interval=(0.0, 8.0), tol=1e-9)
         res = _integrate(lambda eta: np.exp(-(eta**2)), plan)
         assert res.value == pytest.approx(PROBE_GAUSS_T100, rel=1e-7)
-
-    def test_gaussian_amplitude_slope(self):
-        fit = van_der_corput_probe(
-            lambda eta: np.exp(-(eta**2)), np.logspace(np.log10(50.0), np.log10(500.0), 6)
-        )
-        assert -0.65 <= fit.exponent <= -0.40
-        assert fit.reliable
 
     def test_shoulder_bump_engine_sample(self):
         # the shoulders are only C^1, so compare absolutely: the kink
@@ -204,22 +181,3 @@ class TestVanDerCorputProbe:
         plan = IntegrationPlan(t=100.0, interval=(0.0, 4.0), tol=1e-12)
         res = _integrate(smoothed_indicator, plan)
         assert res.value == pytest.approx(PROBE_BUMP_T100, abs=5e-12)
-
-    def test_shoulder_bump_slope(self):
-        # no stationary point on the support, so decay is at least t^-1;
-        # the C^1 shoulders actually give t^-3
-        fit = van_der_corput_probe(smoothed_indicator, np.logspace(1, 2, 7))
-        assert fit.exponent <= -1.0 + 0.15
-        assert -3.4 <= fit.exponent <= -2.6
-        assert fit.reliable
-
-    def test_zero_amplitude_rejected(self):
-        with pytest.raises(DiagnosticError):
-            van_der_corput_probe(lambda eta: np.zeros_like(eta), np.logspace(1, 2, 6))
-
-    def test_grid_validation(self):
-        g = lambda eta: np.exp(-(eta**2))
-        with pytest.raises(ValueError):
-            van_der_corput_probe(g, [10.0, 20.0, 30.0])
-        with pytest.raises(ValueError):
-            van_der_corput_probe(g, [-1.0, 1.0, 2.0, 3.0, 4.0])

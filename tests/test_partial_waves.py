@@ -9,10 +9,7 @@ from fourthorder.partial_waves import (
     build_sector_operator,
     default_r_max,
     legendre_project,
-    load_operator,
     resum_sectors,
-    save_operator,
-    suggested_ell_max,
 )
 
 
@@ -133,7 +130,7 @@ class TestSectorOperator:
         grid = build_grid(128, r_max=30.0)
         op = build_sector_operator(lambda s: expansion_G(0, s), 0, grid)
         f = lambda r: np.exp(-r)
-        out = grid.values(op.apply(grid.coefficients(f)))
+        out = grid.values(op.matrix @ grid.coefficients(f))
 
         def oracle(r):
             def inner(rp):
@@ -174,7 +171,7 @@ class TestSectorOperator:
         f = lambda r: np.exp(-r)
         g = lambda r: np.exp(-0.3 * r**2)
         cf, cg = grid64.coefficients(f), grid64.coefficients(g)
-        form = float(np.real(cf @ op.apply(cg)))
+        form = float(np.real(cf @ op.matrix @ cg))
         r, w = grid64.nodes, grid64.weights
         kmat = np.array(
             [[legendre_project(lambda s: expansion_G(0, s), 0, ri, rj) for rj in r] for ri in r]
@@ -201,8 +198,8 @@ class TestResummation:
         eta = 0.5
         kern = lambda s: free_resolvent(PLUS, eta, s)
         # separated radii: at r = r' the multipole decay is only algebraic
+        ell_max = 40
         for r, rp, gamma in [(1.0, 2.0, np.pi / 3.0), (3.0, 1.5, 2.0), (4.0, 2.5, 0.4)]:
-            ell_max = suggested_ell_max(eta, r + rp)
             n_mu = 2 * ell_max + 24 + int(np.ceil(0.6 * eta * (r + rp)))
             sectors = [
                 legendre_project(kern, ell, r, rp, n_mu=n_mu) for ell in range(ell_max + 1)
@@ -224,33 +221,3 @@ class TestResummation:
     def test_cos_gamma_domain(self):
         with pytest.raises(ValueError):
             resum_sectors([1.0], 1.5)
-
-
-class TestPersistence:
-    def test_round_trip(self, grid64, tmp_path):
-        op = build_sector_operator(
-            lambda s: free_resolvent(PLUS, 1.2, s), 2, grid64, oscillation=1.2
-        )
-        path = tmp_path / "sector.bin"
-        save_operator(path, op)
-        back = load_operator(path)
-        assert back.ell == 2
-        assert back.grid.count == 64
-        assert back.grid.r_max == pytest.approx(30.0, abs=0.0)
-        assert np.array_equal(back.matrix, op.matrix)
-
-    def test_header_validation(self, grid64, tmp_path):
-        op = build_sector_operator(lambda s: expansion_G(0, s), 0, grid64)
-        path = tmp_path / "sector.bin"
-        save_operator(path, op)
-        blob = path.read_bytes()
-        (tmp_path / "bad_magic.bin").write_bytes(b"XX" + blob[2:])
-        with pytest.raises(ValueError):
-            load_operator(tmp_path / "bad_magic.bin")
-        (tmp_path / "short.bin").write_bytes(blob[:-16])
-        with pytest.raises(ValueError):
-            load_operator(tmp_path / "short.bin")
-        bad_version = blob[:7] + (99).to_bytes(4, "little") + blob[11:]
-        (tmp_path / "bad_version.bin").write_bytes(bad_version)
-        with pytest.raises(ValueError):
-            load_operator(tmp_path / "bad_version.bin")

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fourthorder.birman_schwinger import build_M, classify, make_potential
+from fourthorder.birman_schwinger import build_M, classify, jn_invert, make_potential
 from fourthorder.decayfit import fit_decay
 from fourthorder.kernels import FOUR_PI, MINUS, PLUS, free_resolvent
 from fourthorder.oscillatory import stone_integral
-from fourthorder.partial_waves import legendre_project
+from fourthorder.partial_waves import _pair_projection, build_grid, legendre_project
 from fourthorder.propagator import (
     CorrectionCache,
     F_kernel,
@@ -20,14 +20,7 @@ from fourthorder.propagator import (
     perturbed_resolvent,
     weighted_norm,
 )
-from fourthorder.propagator import (
-    _fresnel_weight,
-    _invert_sector,
-    _pole_sandwich,
-    _pole_tail,
-    _sector_projections,
-    _sector_row,
-)
+from fourthorder.propagator import _fresnel_weight, _pole_sandwich, _pole_tail, _sandwich_vector
 
 STONE_PREFACTOR = 1.0 / (2.0j * math.pi)
 
@@ -88,18 +81,20 @@ class TestFreeKernel:
 
 class TestSectorRow:
     def test_matches_projection_oracle(self, grid64):
+        # an off-grid radius against every node, as the sandwich rows use it
         kernel = lambda s: free_resolvent(PLUS, 0.7, s)
         for ell in (0, 1, 2):
-            row = _sector_row(kernel, ell, 1.9, grid64, 40)
+            row = _pair_projection(kernel, ell, np.full(grid64.count, 1.9), grid64.nodes, 40)
             for j in (0, 17, 40, 63):
                 want = legendre_project(kernel, ell, 1.9, grid64.nodes[j], n_mu=40)
                 assert row[j] == pytest.approx(want, rel=1e-11)
 
-    def test_degenerate_radius(self, grid64):
-        kernel = lambda s: free_resolvent(PLUS, 0.3, s)
-        row0 = _sector_row(kernel, 0, 0.0, grid64, 24)
-        assert np.allclose(row0, FOUR_PI * kernel(grid64.nodes))
-        assert not _sector_row(kernel, 1, 0.0, grid64, 24).any()
+    def test_degenerate_radius(self, grid64, subcritical_potential):
+        nodes = grid64.nodes
+        weight = np.sqrt(grid64.weights) * nodes * subcritical_potential.half(nodes)
+        row0 = _sandwich_vector(0.3, 0, 0.0, subcritical_potential, grid64)
+        assert np.allclose(row0, weight * FOUR_PI * free_resolvent(PLUS, 0.3, nodes))
+        assert not _sandwich_vector(0.3, 1, 0.0, subcritical_potential, grid64).any()
 
 
 class TestPerturbedResolvent:
@@ -117,6 +112,16 @@ class TestPerturbedResolvent:
         g = Geometry(1.2, 2.6, -0.4)
         plus = perturbed_resolvent(PLUS, 0.8, g, subcritical_potential, grid64)
         minus = perturbed_resolvent(MINUS, 0.8, g, subcritical_potential, grid64)
+        assert minus == pytest.approx(np.conj(plus), rel=1e-13)
+
+    def test_sign_aliases(self):
+        grid = build_grid(32, 9.0)
+        pot = make_potential("gaussian", -1.0)
+        g = Geometry(1.0, 0.5, 0.2)
+        plus = perturbed_resolvent(PLUS, 0.7, g, pot, grid)
+        minus = perturbed_resolvent(MINUS, 0.7, g, pot, grid)
+        assert perturbed_resolvent("-", 0.7, g, pot, grid) == minus
+        assert perturbed_resolvent("minus", 0.7, g, pot, grid) == minus
         assert minus == pytest.approx(np.conj(plus), rel=1e-13)
 
     def test_first_born_against_volume_quadrature(self, grid64):
@@ -173,9 +178,9 @@ class TestThresholdData:
     ):
         # eta^2 Re M^{-1} approaches the second-kernel block as eta -> 0
         eta = 1e-3
-        proj = _sector_projections(eigenvalue_classification, grid64.count, 2)
+        q = eigenvalue_classification.s1_basis[1]
         m = build_M(PLUS, eta, eigenvalue_potential, grid64, 1).matrix
-        minv = _invert_sector(m, proj[1], 1)
+        minv = jn_invert(m, q @ q.T)
         block = eigenvalue_data.pole_blocks[1]
         rel = np.linalg.norm(eta**2 * minv.real - block) / np.linalg.norm(block)
         assert rel < 1e-3
@@ -237,13 +242,15 @@ class TestEvolution:
             evolution_kernel(0.0, geometries[0], resonance_cache)
         with pytest.raises(ValueError):
             evolution_kernel(10.0, geometries[0], resonance_cache, subtract="half")
+        with pytest.raises(ValueError, match="not in the correction cache"):
+            evolution_kernel(10.0, Geometry(0.9, 0.9, 0.0), resonance_cache)
 
 
 class TestCorrections:
     def test_fresnel_weight_rotated_oracle(self):
         for t in (10.0, 200.0):
             want = rotated_quadrature(lambda e: 4.0 * e**2 + 2.0, t)
-            assert _fresnel_weight(t) == pytest.approx(want, rel=1e-7)
+            assert _fresnel_weight(t).value == pytest.approx(want, rel=1e-7)
 
     def test_F_matches_evolution_correction(self, geometries, resonance_cache, resonance_data):
         g = geometries[0]

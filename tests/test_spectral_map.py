@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from fourthorder.spectral_map import (
-    SpectralPoint,
-    eta_of_lambda,
-    lambda_of_eta,
-    stone_jacobian,
-)
+from fourthorder.spectral_map import eta_of_lambda, lambda_of_eta, stone_jacobian
 
 
 def test_frozen_values():
@@ -52,11 +47,3 @@ def test_domain_errors():
         lambda_of_eta(-0.5)
     with pytest.raises(ValueError):
         stone_jacobian(np.nan)
-
-
-def test_spectral_point():
-    p = SpectralPoint.from_lambda(2.0)
-    assert p.eta == pytest.approx(1.0, abs=1e-15)
-    q = SpectralPoint.from_eta(2.0)
-    assert q.lam == pytest.approx(20.0, abs=1e-12)
-    assert q.jacobian() == pytest.approx(36.0, abs=1e-12)
