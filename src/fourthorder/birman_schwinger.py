@@ -14,7 +14,7 @@ so adjoints are literal matrix conjugate-transposes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,16 +76,9 @@ class Potential:
         """U(r) = +1 where V >= 0, -1 where V < 0."""
         return np.where(self.values(r) >= 0.0, 1.0, -1.0)
 
-    def envelope_constant(self, grid: RadialGrid) -> float:
-        """Fitted constant in |V(r)| <= C (1+r)^(-beta) over the grid."""
-        return float(np.max(np.abs(self.values(grid.nodes)) * (1.0 + grid.nodes) ** self.beta))
-
     def l1_norm(self, grid: RadialGrid) -> float:
         """||V||_1 = 4*pi Int |V| r^2 dr on the grid."""
         return float(FOUR_PI * np.sum(grid.weights * grid.nodes**2 * np.abs(self.values(grid.nodes))))
-
-    def with_coupling(self, coupling: float) -> "Potential":
-        return replace(self, coupling=float(coupling))
 
 
 def make_potential(name: str, coupling: float, beta: float | None = None) -> Potential:
@@ -109,21 +102,28 @@ def _check_inputs(potential: Potential, grid: RadialGrid) -> None:
         raise ValueError("potential is not finite on the grid")
 
 
-def _sandwich(kernel, potential: Potential, grid: RadialGrid, ell: int, oscillation=0.0):
+def _sandwich(kernel, potential: Potential, grid: RadialGrid, ell: int):
     """v K v as a matrix in the symmetrized convention."""
-    op = build_sector_operator(kernel, ell, grid, oscillation=oscillation)
+    op = build_sector_operator(kernel, ell, grid)
     v = potential.half(grid.nodes)
     return v[:, None] * op.matrix * v[None, :]
+
+
+def _m_from_r0(r0: np.ndarray, potential: Potential, grid: RadialGrid, ell: int) -> SectorOperator:
+    """M = U + v R0 v from an assembled sector matrix of R0."""
+    _check_inputs(potential, grid)
+    v = potential.half(grid.nodes)
+    body = v[:, None] * r0 * v[None, :]
+    mat = np.diag(potential.sign(grid.nodes)).astype(body.dtype) + body
+    return SectorOperator(ell=ell, grid=grid, matrix=mat)
 
 
 def build_M(sign, eta: float, potential: Potential, grid: RadialGrid, ell: int = 0) -> SectorOperator:
     """M(eta) = U + v R0(eta) v in one sector (T0 at eta = 0)."""
     if eta < 0.0:
         raise ValueError("eta must be nonnegative")
-    _check_inputs(potential, grid)
-    body = _sandwich(lambda s: free_resolvent(sign, eta, s), potential, grid, ell, oscillation=eta)
-    mat = np.diag(potential.sign(grid.nodes)).astype(body.dtype) + body
-    return SectorOperator(ell=ell, grid=grid, matrix=mat)
+    r0 = build_sector_operator(lambda s: free_resolvent(sign, eta, s), ell, grid, oscillation=eta)
+    return _m_from_r0(r0.matrix, potential, grid, ell)
 
 
 def build_T0(potential: Potential, grid: RadialGrid, ell: int = 0) -> SectorOperator:
@@ -155,41 +155,6 @@ class Classification:
     v_overlaps: dict
     tol: float
     sectors_checked: tuple
-
-    def s1_dim(self) -> int:
-        return sum(b.shape[1] for b in self.s1_basis.values())
-
-    def s2_dim(self) -> int:
-        return sum(b.shape[1] for b in self.s2_basis.values())
-
-    def report(self) -> str:
-        lines = [
-            "format: fourthorder-classification v1",
-            f"verdict: {self.verdict}",
-            f"tol: {self.tol:.3e}",
-            "sectors_checked: " + " ".join(str(ell) for ell in self.sectors_checked),
-        ]
-        for ell in self.sectors_checked:
-            lines.append(f"[sector {ell}]")
-            sv = self.singular_values["T0"][ell]
-            lines.append("T0_smallest_singular_values: " + " ".join(f"{x:.6e}" for x in sv))
-            lines.append(f"gap_ratio: {self.gap_ratios[ell]:.6e}")
-            k1 = self.s1_basis[ell].shape[1] if ell in self.s1_basis else 0
-            k2 = self.s2_basis[ell].shape[1] if ell in self.s2_basis else 0
-            lines.append(f"s1_dim: {k1}")
-            lines.append(f"s2_dim: {k2}")
-            if ell in self.v_overlaps and len(self.v_overlaps[ell]):
-                lines.append(
-                    "null_vector_v_overlaps: "
-                    + " ".join(f"{x:.6e}" for x in self.v_overlaps[ell])
-                )
-            for tag in ("T1", "T2"):
-                if ell in self.singular_values[tag]:
-                    lines.append(
-                        f"{tag}_singular_values: "
-                        + " ".join(f"{x:.6e}" for x in self.singular_values[tag][ell])
-                    )
-        return "\n".join(lines) + "\n"
 
 
 def _null_split(matrix: np.ndarray, tol: float, scale: float | None = None):
@@ -372,6 +337,31 @@ def _restricted_inverse(body: np.ndarray, q: np.ndarray) -> np.ndarray:
     return q @ np.linalg.inv(small) @ q.conj().T
 
 
+def _resonance_block(q1: np.ndarray, p: np.ndarray, tol: float) -> np.ndarray:
+    """X = Q (Q^T P Q)^+ Q^T on the radial null space.
+
+    A pseudo-inverse, not _restricted_inverse: with a resonance and an
+    eigenvalue at once, Q^T P Q is singular on the eigenvalue directions.
+    """
+    vals, vecs = np.linalg.eigh(q1.T @ p @ q1)
+    keep = np.abs(vals) > tol
+    return q1 @ ((vecs[:, keep] / vals[keep]) @ vecs[:, keep].T) @ q1.T
+
+
+def _second_kernel_block(
+    potential: Potential, grid: RadialGrid, ell: int, q2: np.ndarray
+) -> np.ndarray:
+    """A_{-2} = Q2 (Q2^T v G2 v Q2)^{-1} Q2^T, the eigenvalue's 1/eta^2 block."""
+    return _restricted_inverse(_sandwich(lambda s: expansion_G(2, s), potential, grid, ell), q2)
+
+
+def _radial_resolvent(potential: Potential, grid: RadialGrid, q1: np.ndarray, p: np.ndarray):
+    """D0 = (T0 + S1)^{-1} in the radial sector, with rho = tr(P D0 P)."""
+    t0 = build_T0(potential, grid, 0).matrix
+    d0 = np.linalg.inv(t0 + _projection(q1, grid.count))
+    return d0, float(np.real(np.trace(p @ d0 @ p)))
+
+
 def leading_coefficients(
     classification: Classification,
     potential: Potential,
@@ -406,13 +396,10 @@ def leading_coefficients(
     if verdict == "resonance":
         ell = 0
         q1 = classification.s1_basis[0]
-        t0 = build_T0(potential, grid, ell).matrix
-        s1 = _projection(q1, n)
-        d0 = np.linalg.inv(t0 + s1)
         p = build_P(potential, grid).matrix
-        x = _restricted_inverse(p, q1)
+        d0, rho = _radial_resolvent(potential, grid, q1, p)
+        x = _resonance_block(q1, p, classification.tol)
         g2 = _sandwich(lambda s: expansion_G(2, s), potential, grid, ell)
-        rho = float(np.real(np.trace(p @ d0 @ p)))
         # P D0 P = rho P because P has rank one, which folds the second-order
         # projection term into rho * X P X
         m0 = (
@@ -432,9 +419,7 @@ def leading_coefficients(
 
     # eigenvalue or resonance_and_eigenvalue: the 1/eta^2 sector
     ell = min(ell for ell in classification.s2_basis)
-    q2 = classification.s2_basis[ell]
-    g2 = _sandwich(lambda s: expansion_G(2, s), potential, grid, ell)
-    a_minus2 = _restricted_inverse(g2, q2)
+    a_minus2 = _second_kernel_block(potential, grid, ell, classification.s2_basis[ell])
 
     if fit_etas is None:
         fit_etas = np.logspace(-3, -2, 8)
@@ -450,10 +435,8 @@ def leading_coefficients(
     blocks = {"A_minus2": a_minus2}
     rho = None
     if 0 in classification.s1_basis:
-        t0 = build_T0(potential, grid, 0).matrix
-        d0 = np.linalg.inv(t0 + _projection(classification.s1_basis[0], n))
         p = build_P(potential, grid).matrix
-        rho = float(np.real(np.trace(p @ d0 @ p)))
+        _, rho = _radial_resolvent(potential, grid, classification.s1_basis[0], p)
     for sign, tag in ((PLUS, "plus"), (MINUS, "minus")):
         stack = np.stack(samples[sign]).reshape(len(fit_etas), -1)
         coef_cubic, *_ = np.linalg.lstsq(design, stack, rcond=None)

@@ -16,7 +16,7 @@ class ConvergenceError(RuntimeError):
 
 
 class TruncationError(RuntimeError):
-    """A tail envelope cannot certify the requested tolerance."""
+    """A truncated tail cannot be certified to the requested tolerance."""
 
 
 class SingularFactorError(RuntimeError):

@@ -192,24 +192,20 @@ def improper_tail(
     t: float,
     a: float,
     tol: float = 1e-9,
-    envelope: tuple[float, float] = (1.0, 1.0),
     min_eta: float = 0.0,
     max_eta: float = 512.0,
     max_panels: int = DEFAULT_MAX_PANELS,
 ) -> QuadResult:
     """Tail integral ∫_a^∞ of the Stone integrand, certified by truncation.
 
-    envelope = (amplitude, exponent) asserts |f(eta)| <= amplitude *
-    eta^(-exponent) with exponent >= 1 for eta >= a.  The integral is cut
-    at eta_max and closed with the two boundary terms of integration by
-    parts in u; the reported truncation_bound is the magnitude of the
-    first neglected boundary term, |g'(u_max)| / t^2, which dominates the
-    remainder once f'(eta(u)) decays monotonically.  min_eta forces the
-    cut beyond any known oscillation scale of f.
+    Precondition: |f(eta)| decays at least like 1/eta for eta >= a; the
+    truncation certificate rests on it.  The integral is cut at eta_max
+    and closed with the two boundary terms of integration by parts in u;
+    the reported truncation_bound is the magnitude of the first neglected
+    boundary term, |g'(u_max)| / t^2, which dominates the remainder once
+    f'(eta(u)) decays monotonically.  min_eta forces the cut beyond any
+    known oscillation scale of f.
     """
-    amplitude, exponent = envelope
-    if not (amplitude > 0.0 and exponent >= 1.0):
-        raise ValueError("envelope must assert decay at least like eta^-1")
     if not (t != 0.0 and np.isfinite(t)):
         raise ValueError("time must be finite and nonzero")
     if a < 0.0:

@@ -173,17 +173,14 @@ def _pair_projection(kernel, ell: int, r: np.ndarray, r_prime: np.ndarray, n_mu:
 
 
 def build_sector_operator(
-    kernel, ell: int, grid: RadialGrid, n_mu: int | None = None, oscillation: float = 0.0
+    kernel, ell: int, grid: RadialGrid, oscillation: float = 0.0
 ) -> SectorOperator:
     """Symmetrized Nystrom matrix of a radial kernel in one sector.
 
     oscillation hints the kernel's phase rate in the separation variable
     (eta for the limiting resolvents) so enough mu-nodes are used.
     """
-    if n_mu is None:
-        n_mu = _n_mu_default(ell, oscillation * 2.0 * grid.r_max)
-    if n_mu < 2 * ell + 16:
-        raise ValueError(f"n_mu={n_mu} cannot resolve P_{ell} (need >= {2 * ell + 16})")
+    n_mu = _n_mu_default(ell, oscillation * 2.0 * grid.r_max)
     r = grid.nodes
     n = grid.count
     iu, ju = np.triu_indices(n)

@@ -13,13 +13,13 @@ Threshold corrections: at a zero-energy resonance or eigenvalue the
 sandwich difference carries a 1/eta pole whose Stone integral decays only
 like t^{-1/2}.  The pole must be removed over the full energy range: a
 correction truncated at eta = t^{-1/2} leaves a Fresnel-sized t^{-1/2}
-residue from the pole's tail beyond the cut.  F_kernel and G_kernel are
-therefore separable finite-rank operators, frozen zero-energy pole blocks
-times the full-range Stone weight integral, and the evolution's
-subtract="auto" mode performs the equivalent subtraction through the
-cache's pointwise pole coefficient.  G additionally carries the
-second-kernel boundary-difference display, which is itself of t^{-3/2}
-size.
+residue from the pole's tail beyond the cut.  build_threshold_data derives
+the zero-energy pole blocks once; F_kernel and G_kernel sandwich them as
+separable finite-rank operators times the full-range Stone weight
+integral, and the cache reads its pole coefficient from the same blocks,
+so the evolution's subtract="auto" mode performs the equivalent
+subtraction.  G additionally carries the second-kernel boundary-difference
+display, which is itself of t^{-3/2} size.
 """
 
 from __future__ import annotations
@@ -33,14 +33,15 @@ from scipy.interpolate import CubicSpline
 
 from .birman_schwinger import (
     Potential,
+    _m_from_r0,
     _projection,
-    _restricted_inverse,
-    _sandwich,
+    _resonance_block,
+    _second_kernel_block,
     build_M,
     build_P,
     jn_invert,
 )
-from .kernels import FOUR_PI, MINUS, PLUS, _sign_factor, expansion_G, free_resolvent, free_resolvent_diff
+from .kernels import FOUR_PI, MINUS, PLUS, _sign_factor, free_resolvent, free_resolvent_diff
 from .oscillatory import (
     DEFAULT_MAX_PANELS,
     IntegrationPlan,
@@ -88,12 +89,12 @@ DEFAULT_CACHE_ETA_TOP = 8.0
 # correction body, at the step sizes above
 _SPLINE_REL = 1e-4
 
-# where the pole coefficient is read off.  A bisection-tuned potential is
-# critical only to ~1e-11, which caps the singular growth of M^{-1} below
-# a crossover eta (sqrt of the detuning for a second-order pole), so the
-# limit of eta * difference must be taken on the plateau above the
-# crossover, not at eta -> 0.  The quadratic Richardson step removes the
-# plateau's own eta^2 variation.
+# where the first-order pole blocks are read off.  A bisection-tuned
+# potential is critical only to ~1e-11, which caps the singular growth of
+# M^{-1} below a crossover eta (sqrt of the detuning for a second-order
+# pole), so the limit of -eta Im M^{-1} must be taken on the plateau above
+# the crossover, not at eta -> 0.  The blocks are the linear Richardson
+# step 2 B(h) - B(2h) on that plateau, which cancels a term linear in eta.
 _POLE_FIT_ETA = 1e-3
 
 
@@ -146,8 +147,8 @@ def _free_kernel_result(t: float, separation: float, tol: float) -> QuadResult:
     if separation < 0.0:
         raise ValueError("separation must be nonnegative")
     f = lambda eta: _STONE_PREFACTOR * free_resolvent_diff(eta, separation)
-    # |R0+ - R0-| <= 1/(2 pi (1+2 eta^2)) * eta <= eta^{-1}/(4 pi^2): safe 1/eta envelope
-    return improper_tail(f, t, 0.0, tol=tol, envelope=(1.0, 1.0), min_eta=2.0 * separation)
+    # |R0+ - R0-| <= 1/(2 pi (1+2 eta^2)) * eta <= eta^{-1}/(4 pi^2): decays like 1/eta
+    return improper_tail(f, t, 0.0, tol=tol, min_eta=2.0 * separation)
 
 
 def free_kernel(t: float, separation: float, tol: float = 1e-9) -> complex:
@@ -188,14 +189,13 @@ def perturbed_resolvent(
 
 @dataclass(frozen=True)
 class ThresholdData:
-    """Static blocks feeding the finite-rank threshold corrections.
+    """Zero-energy blocks, the one derivation of the threshold pole.
 
     x_block is the resonance inverse on the first null space; pole_blocks
     are the second-kernel inverses for the slow eta^-2 sector blocks; and
     pole_matrices hold, per sector, the full first-order pole of the
     sandwiched inverse read off the plateau of -eta Im M^{-1}(eta).  The
-    resonance part of the sector-0 pole is carried by x_block through the
-    closed-form weight, so pole_matrices store only the excess.
+    correction cache, F_kernel and G_kernel all read these blocks.
     """
 
     potential: Potential
@@ -209,39 +209,27 @@ class ThresholdData:
 
 def build_threshold_data(potential: Potential, grid: RadialGrid, classification) -> ThresholdData:
     """Assemble the null-space blocks the threshold corrections contract against."""
-    l1 = potential.l1_norm(grid)
     x_block = None
-    pole_blocks = {}
     if 0 in classification.s1_basis and classification.verdict in (
         "resonance",
         "resonance_and_eigenvalue",
     ):
-        q = classification.s1_basis[0]
         p = build_P(potential, grid).matrix
-        t1 = q.T @ p @ q
-        vals, vecs = np.linalg.eigh(t1)
-        keep = np.abs(vals) > classification.tol
-        if keep.any():
-            inv = (vecs[:, keep] / vals[keep]) @ vecs[:, keep].T
-            x_block = q @ inv @ q.T
-    for ell, q2 in classification.s2_basis.items():
-        g2 = _sandwich(lambda s: expansion_G(2, s), potential, grid, ell)
-        pole_blocks[ell] = _restricted_inverse(g2, q2)
+        x_block = _resonance_block(classification.s1_basis[0], p, classification.tol)
+    pole_blocks = {
+        ell: _second_kernel_block(potential, grid, ell, q2)
+        for ell, q2 in classification.s2_basis.items()
+    }
 
     pole_matrices = {}
-    for ell in classification.s1_basis:
-        h = _POLE_FIT_ETA
-        projection = _projection(classification.s1_basis[ell], grid.count)
+    for ell, q1 in classification.s1_basis.items():
+        projection = _projection(q1, grid.count)
 
         def first_order(eta):
             m_op = build_M(PLUS, eta, potential, grid, ell)
             return -eta * jn_invert(m_op, projection).matrix.imag
 
-        b1, b2 = first_order(h), first_order(2.0 * h)
-        block = 2.0 * b1 - b2
-        if ell == 0 and x_block is not None:
-            block = block - (FOUR_PI / l1) * x_block
-        pole_matrices[ell] = block
+        pole_matrices[ell] = 2.0 * first_order(_POLE_FIT_ETA) - first_order(2.0 * _POLE_FIT_ETA)
     return ThresholdData(
         potential=potential,
         grid=grid,
@@ -249,21 +237,8 @@ def build_threshold_data(potential: Potential, grid: RadialGrid, classification)
         x_block=x_block,
         pole_blocks=pole_blocks,
         pole_matrices=pole_matrices,
-        l1_norm=l1,
+        l1_norm=potential.l1_norm(grid),
     )
-
-
-def _short_interval_quad(integrand, cut: float, rel_tol: float = 1e-10):
-    """Adaptive Gauss-Legendre on [0, cut] for smooth non-oscillatory data."""
-    previous = None
-    for order in (16, 24, 36, 54):
-        x, w = np.polynomial.legendre.leggauss(order)
-        etas = 0.5 * cut * (x + 1.0)
-        value = 0.5 * cut * np.sum(w * integrand(etas))
-        if previous is not None and abs(value - previous) <= rel_tol * (1.0 + abs(value)):
-            return complex(value)
-        previous = value
-    return complex(value)
 
 
 @lru_cache(maxsize=256)
@@ -302,7 +277,7 @@ def _difference_display(t: float, geometry: Geometry, data: ThresholdData) -> co
     taming the 2/eta weight; the Stone prefactor signs the term so that
     subtracting it removes the matching piece of the evolution kernel.
     """
-    cut = t**-0.5
+    plan = IntegrationPlan(t=t, interval=(0.0, t**-0.5), tol=1e-10)
     pot, grid = data.potential, data.grid
     sectors = np.zeros(max(data.pole_blocks) + 1, dtype=complex)
     for ell, block in data.pole_blocks.items():
@@ -313,9 +288,9 @@ def _difference_display(t: float, geometry: Geometry, data: ThresholdData) -> co
                 left = _sandwich_vector(eta, ell, geometry.r, pot, grid)
                 right = _sandwich_vector(eta, ell, geometry.r_prime, pot, grid)
                 out[k] = 2j * (left @ block @ right).imag
-            return np.exp(-1j * t * lambda_of_eta(etas)) * (4.0 * etas + 2.0 / etas) * out
+            return (4.0 * etas + 2.0 / etas) * out
 
-        sectors[ell] = _short_interval_quad(integrand, cut)
+        sectors[ell] = _integrate(integrand, plan).value
     return -_STONE_PREFACTOR * resum_sectors(sectors, geometry.cos_gamma)
 
 
@@ -331,8 +306,6 @@ def F_kernel(t: float, geometry: Geometry, data: ThresholdData) -> complex:
         raise ValueError("F correction requires a resonance verdict")
     if not t > 1.0:
         raise ValueError("threshold corrections apply for t > 1")
-    if data.x_block is None:
-        return 0.0 + 0.0j
     shift = _pole_sandwich(geometry, data, {0: (FOUR_PI / data.l1_norm) * data.x_block})
     return complex(-_STONE_PREFACTOR * shift * _fresnel_weight(t).value)
 
@@ -340,25 +313,18 @@ def F_kernel(t: float, geometry: Geometry, data: ThresholdData) -> complex:
 def G_kernel(t: float, geometry: Geometry, data: ThresholdData) -> complex:
     """Finite-rank eigenvalue correction at time t.
 
-    Three pieces, all signed to subtract from the evolution kernel: the
-    resonance part when present, the per-sector pole excess the eigenvalue
-    induces in the inverse (frozen blocks times the full Stone weight),
-    and the second-kernel boundary-difference display truncated at
-    eta = t^{-1/2}.
+    Two pieces, both signed to subtract from the evolution kernel: the
+    full per-sector first-order pole blocks, resonance part included,
+    times the full Stone weight, and the second-kernel boundary-difference
+    display truncated at eta = t^{-1/2}.
     """
     if data.classification.verdict not in ("eigenvalue", "resonance_and_eigenvalue"):
         raise ValueError("G correction requires an eigenvalue verdict")
     if not t > 1.0:
         raise ValueError("threshold corrections apply for t > 1")
-    value = 0.0 + 0.0j
-    if data.x_block is not None:
-        value += F_kernel(t, geometry, data)
-    if data.pole_matrices:
-        shift = _pole_sandwich(geometry, data, data.pole_matrices)
-        value += -_STONE_PREFACTOR * shift * _fresnel_weight(t).value
-    if data.pole_blocks:
-        value += _difference_display(t, geometry, data)
-    return complex(value)
+    shift = _pole_sandwich(geometry, data, data.pole_matrices)
+    value = -_STONE_PREFACTOR * shift * _fresnel_weight(t).value
+    return complex(value + _difference_display(t, geometry, data))
 
 
 class CorrectionCache:
@@ -366,8 +332,9 @@ class CorrectionCache:
 
     For each geometry the cache holds W_raw(eta) = eta * [resummed
     (+)-minus-(-) sandwich difference], which is bounded through the
-    threshold in every verdict, together with the extrapolated pole
-    coefficient W_raw(0+).  Built once, read concurrently.
+    threshold in every verdict, together with its limit W_raw(0+), the
+    pole coefficient, sandwiched from build_threshold_data's zero-energy
+    blocks.  Built once, read concurrently.
     """
 
     def __init__(
@@ -390,9 +357,14 @@ class CorrectionCache:
         )
         self.eta_nodes = np.concatenate([log_part, lin_part])
         self._splines = {}
-        self._pole = {}
         self._profile = {}
         self._build()
+        data = build_threshold_data(potential, grid, classification)
+        # a sector left out of the cache has no pole in its splines either
+        blocks = {ell: b for ell, b in data.pole_matrices.items() if ell <= ell_max}
+        self._pole = {
+            g: _pole_sandwich(g, data, blocks) if blocks else 0.0 + 0.0j for g in self.geometries
+        }
 
     def _build(self):
         pot, grid = self.potential, self.grid
@@ -410,13 +382,11 @@ class CorrectionCache:
                     sand_im[g][ell, k] = (rows[g.r] @ minv @ rows[g.r_prime]).imag
         for g in self.geometries:
             vals = 2j * self.eta_nodes * resum_sectors(sand_im[g], g.cos_gamma)
-            spline = CubicSpline(self.eta_nodes, vals)
-            w1, w2 = spline(_POLE_FIT_ETA), spline(2.0 * _POLE_FIT_ETA)
-            self._splines[g] = spline
-            self._pole[g] = complex(w1 - (w2 - w1) / 3.0)
+            self._splines[g] = CubicSpline(self.eta_nodes, vals)
             self._profile[g] = np.abs(vals)
 
     def pole_coefficient(self, geometry: Geometry) -> complex:
+        """W_raw(0+) from the zero-energy pole blocks; exactly 0 without them."""
         return self._pole[geometry]
 
     def scaled_difference(self, geometry: Geometry):
@@ -468,9 +438,10 @@ def evolution_kernel(
     """Evolution kernel sample, optionally with the threshold pole removed.
 
     subtract="auto" removes, for t > 1 and a singular verdict, the full
-    Stone integral of the pole part pole(eta) = W_raw(0+) / eta; the
-    remaining integrand is regular at eta = 0 and the removed amount is
-    reported as the sample's correction.
+    Stone integral of the pole part pole(eta) = W_raw(0+) / eta, with
+    W_raw(0+) the cache's pole coefficient from the zero-energy blocks of
+    build_threshold_data; the remaining integrand is regular at eta = 0
+    and the removed amount is reported as the sample's correction.
     """
     if subtract not in ("none", "auto"):
         raise ValueError(f"subtract must be 'none' or 'auto', got {subtract!r}")
@@ -543,7 +514,7 @@ def weighted_operator(
     if potential is None:
         body = r0
     else:
-        m_op = build_M(sign, eta, potential, grid, ell)
+        m_op = _m_from_r0(r0, potential, grid, ell)
         s1 = {} if classification is None else classification.s1_basis
         minv = jn_invert(m_op, _projection(s1.get(ell), grid.count)).matrix
         v = potential.half(grid.nodes)

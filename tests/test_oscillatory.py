@@ -134,7 +134,7 @@ class TestStoneIntegral:
 class TestImproperTail:
     def test_compact_support_reduces_to_finite_integral(self):
         f = lambda eta: smoothed_indicator(eta, lo=1.5, hi=3.0, ramp=0.3)
-        tail = improper_tail(f, 7.0, 1.0, tol=1e-9, envelope=(1.0, 1.0))
+        tail = improper_tail(f, 7.0, 1.0, tol=1e-9)
         finite = stone_integral(f, 7.0, (1.0, 3.0), tol=1e-11)
         assert tail.value == pytest.approx(finite.value, rel=1e-7)
         assert tail.truncation_bound <= 1e-9 * (1.0 + abs(tail.value))
@@ -142,7 +142,7 @@ class TestImproperTail:
 
     def test_fresnel_oracle(self):
         f = lambda eta: 1.0 / (1.0 + 2.0 * eta**2)
-        res = improper_tail(f, 10.0, 1.0, tol=1e-8, envelope=(0.5, 2.0))
+        res = improper_tail(f, 10.0, 1.0, tol=1e-8)
         assert res.value == pytest.approx(FRESNEL_TAIL, rel=1e-6)
 
     def test_doubling_cut_stays_within_reported_bound(self):
@@ -154,19 +154,15 @@ class TestImproperTail:
             t = rng.uniform(5.0, 40.0)
             a = rng.uniform(0.3, 1.5)
             f = lambda eta: amp / (shift + 2.0 * eta**2) ** (p / 2.0)
-            first = improper_tail(f, t, a, tol=1e-6, envelope=(amp, float(p)))
-            doubled = improper_tail(
-                f, t, a, tol=1e-6, envelope=(amp, float(p)), min_eta=2.0 * first.eta_max
-            )
+            first = improper_tail(f, t, a, tol=1e-6)
+            doubled = improper_tail(f, t, a, tol=1e-6, min_eta=2.0 * first.eta_max)
             change = abs(first.value - doubled.value)
             assert change <= first.truncation_bound + first.error + doubled.error
 
-    def test_envelope_gate_and_truncation_error(self):
+    def test_truncation_error(self):
         f = lambda eta: 1.0 / np.sqrt(1.0 + 2.0 * eta**2)
-        with pytest.raises(ValueError):
-            improper_tail(f, 5.0, 1.0, envelope=(1.0, 0.5))
         with pytest.raises(TruncationError):
-            improper_tail(f, 5.0, 1.0, tol=1e-9, envelope=(1.0, 1.0), max_eta=5.0)
+            improper_tail(f, 5.0, 1.0, tol=1e-9, max_eta=5.0)
 
 
 class TestEngineSamples:

@@ -4,11 +4,22 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fourthorder.birman_schwinger import build_M, classify, jn_invert, make_potential
+from fourthorder.birman_schwinger import (
+    build_M,
+    classify,
+    jn_invert,
+    leading_coefficients,
+    make_potential,
+)
 from fourthorder.decayfit import fit_decay
 from fourthorder.kernels import FOUR_PI, MINUS, PLUS, free_resolvent
 from fourthorder.oscillatory import stone_integral
-from fourthorder.partial_waves import _pair_projection, build_grid, legendre_project
+from fourthorder.partial_waves import (
+    _pair_projection,
+    build_grid,
+    build_sector_operator,
+    legendre_project,
+)
 from fourthorder.propagator import (
     CorrectionCache,
     F_kernel,
@@ -19,6 +30,7 @@ from fourthorder.propagator import (
     free_kernel,
     perturbed_resolvent,
     weighted_norm,
+    weighted_operator,
 )
 from fourthorder.propagator import _fresnel_weight, _pole_sandwich, _pole_tail, _sandwich_vector
 
@@ -154,24 +166,55 @@ def _volume_born(eta, geom, n_s=64, n_th=48, n_ph=48):
 
 class TestThresholdData:
     def test_resonance_block_matches_closed_form(self, resonance_data):
-        # the numerically extracted first-order block reduces to the
-        # projected-overlap closed form at a pure resonance
+        # at a pure resonance the numerically extracted first-order block is
+        # the projected-overlap closed form, with nothing else in sector 0
         x_part = (FOUR_PI / resonance_data.l1_norm) * resonance_data.x_block
-        excess = np.linalg.norm(resonance_data.pole_matrices[0])
-        assert excess / np.linalg.norm(x_part) < 1e-4
+        assert set(resonance_data.pole_matrices) == {0}
+        rel = np.linalg.norm(resonance_data.pole_matrices[0] - x_part) / np.linalg.norm(x_part)
+        assert rel < 1e-4
 
-    def test_pole_coefficient_consistency(
-        self, geometries, resonance_data, resonance_cache, eigenvalue_data, eigenvalue_cache
+    def test_pole_coefficient_consistency(self, geometries, resonance_cache, eigenvalue_cache):
+        # the block pole against the small-eta limit of the cache's own
+        # spline of W_raw, by a quadratic Richardson step at h = 1e-3
+        h = 1e-3
+        for cache in (resonance_cache, eigenvalue_cache):
+            for g in geometries:
+                spline = cache.scaled_difference(g)
+                want = complex((4.0 * spline(h) - spline(2.0 * h)) / 3.0)
+                assert cache.pole_coefficient(g) == pytest.approx(want, rel=1e-4)
+
+    def test_cache_pole_is_the_block_sandwich(
+        self, grid64, geometries, eigenvalue_cache, eigenvalue_data, eigenvalue_classification
     ):
-        # frozen-block sandwich vs the independently splined plateau
-        x_part = (FOUR_PI / resonance_data.l1_norm) * resonance_data.x_block
         for g in geometries:
-            want = resonance_cache.pole_coefficient(g)
-            got = _pole_sandwich(g, resonance_data, {0: x_part})
-            assert got == pytest.approx(want, rel=1e-4)
-            want = eigenvalue_cache.pole_coefficient(g)
-            got = _pole_sandwich(g, eigenvalue_data, eigenvalue_data.pole_matrices)
-            assert got == pytest.approx(want, rel=1e-4)
+            want = _pole_sandwich(g, eigenvalue_data, eigenvalue_data.pole_matrices)
+            assert eigenvalue_cache.pole_coefficient(g) == pytest.approx(want, rel=1e-12)
+        # the sector-1 pole lies outside a sector-0 cache, so it adds nothing there
+        radial = CorrectionCache(
+            eigenvalue_data.potential, grid64, eigenvalue_classification, geometries[:1],
+            ell_max=0, eta_top=0.5,
+        )
+        assert radial.pole_coefficient(geometries[0]) == 0
+
+    def test_expansion_reads_the_same_closed_form_blocks(
+        self,
+        grid64,
+        resonance_potential,
+        resonance_classification,
+        resonance_data,
+        eigenvalue_potential,
+        eigenvalue_classification,
+        eigenvalue_data,
+    ):
+        # leading_coefficients and build_threshold_data take X and A_{-2}
+        # from the same closed forms, so their blocks agree to rounding
+        res = leading_coefficients(resonance_classification, resonance_potential, grid64)
+        x_part = (FOUR_PI / resonance_data.l1_norm) * resonance_data.x_block
+        rel = np.linalg.norm(res.blocks["M_minus1_minus"] - 1j * x_part) / np.linalg.norm(x_part)
+        assert rel < 1e-14
+        eig = leading_coefficients(eigenvalue_classification, eigenvalue_potential, grid64)
+        a2 = eigenvalue_data.pole_blocks[eig.ell]
+        assert np.linalg.norm(eig.blocks["A_minus2"] - a2) / np.linalg.norm(a2) < 1e-14
 
     def test_second_kernel_block_matches_inverse(
         self, grid64, eigenvalue_potential, eigenvalue_classification, eigenvalue_data
@@ -230,6 +273,7 @@ class TestEvolution:
         sample = evolution_kernel(30.0, geometries[0], subcritical_cache)
         assert sample.correction_subtracted == "none"
         assert sample.correction == 0.0
+        assert subcritical_cache.pole_coefficient(geometries[0]) == 0
 
     def test_splitting_consistency(self, geometries, resonance_cache):
         g = geometries[1]
@@ -317,3 +361,17 @@ class TestWeightedNorm:
     def test_weight_validation(self, grid64):
         with pytest.raises(ValueError):
             weighted_norm(PLUS, 100.0, None, grid64, s=0.4, variable="lambda")
+
+    def test_operator_is_the_resolvent_identity(self, grid64, subcritical_potential):
+        # R_V = R0 - R0 v M^{-1} v R0 with M from build_M, weighted both sides
+        pot, eta = subcritical_potential, 3.0
+        v = pot.half(grid64.nodes)
+        w = (1.0 + grid64.nodes) ** -2.0
+        for ell in (0, 1):
+            r0 = build_sector_operator(
+                lambda s: free_resolvent(PLUS, eta, s), ell, grid64, oscillation=eta
+            ).matrix
+            minv = np.linalg.inv(build_M(PLUS, eta, pot, grid64, ell).matrix)
+            want = w[:, None] * (r0 - r0 @ (v[:, None] * minv * v[None, :]) @ r0) * w[None, :]
+            got = weighted_operator(PLUS, eta, pot, grid64, 2.0, 2.0, ell)
+            assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-10
