@@ -9,7 +9,9 @@ null-space chain T0 -> T1 -> T2, inverts near-singular M by projection
 splitting, and extracts the leading expansion blocks in each case.
 
 All matrices live in the symmetrized sector convention of partial_waves,
-so adjoints are literal matrix conjugate-transposes.
+so adjoints are literal matrix conjugate-transposes.  The R0 block of M,
+and of T0 at eta = 0 where R0 = G0, is the closed-form sector kernel
+free_sector_resolvent; only the G2 sandwich runs the mu-quadrature.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs, lu_solve
 
 from .errors import (
     BracketError,
@@ -24,8 +27,14 @@ from .errors import (
     IndeterminateClassification,
     SingularFactorError,
 )
-from .kernels import FOUR_PI, MINUS, PLUS, expansion_G, free_resolvent
-from .partial_waves import ELL_MAX_CLASSIFY, RadialGrid, SectorOperator, build_sector_operator
+from .kernels import FOUR_PI, MINUS, PLUS, expansion_G
+from .partial_waves import (
+    ELL_MAX_CLASSIFY,
+    RadialGrid,
+    SectorOperator,
+    build_sector_operator,
+    free_sector_resolvent,
+)
 
 __all__ = [
     "Classification",
@@ -109,6 +118,13 @@ def _sandwich(kernel, potential: Potential, grid: RadialGrid, ell: int):
     return v[:, None] * op.matrix * v[None, :]
 
 
+def _free_sector_matrix(sign, eta: float, grid: RadialGrid, ell: int) -> np.ndarray:
+    """The closed-form sector matrix of R0 in the symmetrized convention."""
+    scale = np.sqrt(grid.weights) * grid.nodes
+    kern = free_sector_resolvent(sign, eta, ell, grid.nodes, grid.nodes)
+    return scale[:, None] * kern * scale[None, :]
+
+
 def _m_from_r0(r0: np.ndarray, potential: Potential, grid: RadialGrid, ell: int) -> SectorOperator:
     """M = U + v R0 v from an assembled sector matrix of R0."""
     _check_inputs(potential, grid)
@@ -122,15 +138,12 @@ def build_M(sign, eta: float, potential: Potential, grid: RadialGrid, ell: int =
     """M(eta) = U + v R0(eta) v in one sector (T0 at eta = 0)."""
     if eta < 0.0:
         raise ValueError("eta must be nonnegative")
-    r0 = build_sector_operator(lambda s: free_resolvent(sign, eta, s), ell, grid, oscillation=eta)
-    return _m_from_r0(r0.matrix, potential, grid, ell)
+    return _m_from_r0(_free_sector_matrix(sign, eta, grid, ell), potential, grid, ell)
 
 
 def build_T0(potential: Potential, grid: RadialGrid, ell: int = 0) -> SectorOperator:
-    """U + v G0 v with the static kernel (real symmetric)."""
-    _check_inputs(potential, grid)
-    body = _sandwich(lambda s: expansion_G(0, s), potential, grid, ell)
-    return SectorOperator(ell=ell, grid=grid, matrix=np.diag(potential.sign(grid.nodes)) + body)
+    """U + v G0 v with the static kernel G0 = R0(eta = 0) (real symmetric)."""
+    return _m_from_r0(_free_sector_matrix(PLUS, 0.0, grid, ell).real, potential, grid, ell)
 
 
 def build_P(potential: Potential, grid: RadialGrid) -> SectorOperator:
@@ -274,15 +287,39 @@ def _as_matrix(op):
     return op.matrix if isinstance(op, SectorOperator) else np.asarray(op)
 
 
+def _guarded_lu(matrix: np.ndarray, factor: str):
+    """LU factors of matrix, or SingularFactorError past cond COND_LIMIT.
+
+    The condition number is LAPACK's xGECON 1-norm estimate from the same
+    factors.  getrf is called directly because lu_factor only warns when
+    a pivot is exactly zero.
+    """
+    getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (matrix,))
+    lu, piv, info = getrf(matrix)
+    rcond = 0.0
+    if info == 0:
+        rcond, _ = gecon(lu, np.linalg.norm(matrix, 1))
+    cond = 1.0 / rcond if rcond > 0.0 else np.inf
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise SingularFactorError(factor, cond)
+    return lu, piv
+
+
+def _lu_inverse(factors) -> np.ndarray:
+    lu = factors[0]
+    return lu_solve(factors, np.eye(lu.shape[0], dtype=lu.dtype), check_finite=False)
+
+
 def jn_invert(M, S):
     """Invert M through the projection-split identity.
 
     With S a finite-rank orthogonal projection commuting with nothing in
     particular, M is invertible iff M + S is and M1 = S - S(M+S)^{-1}S is
     on range(S); then M^{-1} = (M+S)^{-1} + (M+S)^{-1} S M1^{-1} S (M+S)^{-1}.
-    A zero S gives the plain inverse.  Raises SingularFactorError naming
-    "M + S", or "M" for a zero S, or "M1" past cond 1e12, prefixed with
-    the sector when M is a SectorOperator.
+    A zero S gives the plain inverse.  Each factor is LU-factored once;
+    the factors give both the inverse and the condition estimate, and
+    SingularFactorError names "M + S", or "M" for a zero S, or "M1" past
+    cond 1e12, prefixed with the sector when M is a SectorOperator.
     """
     mat = _as_matrix(M)
     s = _as_matrix(S)
@@ -294,10 +331,7 @@ def jn_invert(M, S):
             raise ValueError("S must be an orthogonal projection")
     where = f"sector {M.ell} " if isinstance(M, SectorOperator) else ""
     mps = mat + s.astype(mat.dtype, copy=False)
-    cond = np.linalg.cond(mps)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularFactorError(where + ("M + S" if split else "M"), cond)
-    mps_inv = np.linalg.inv(mps)
+    mps_inv = _lu_inverse(_guarded_lu(mps, where + ("M + S" if split else "M")))
     rank = int(round(np.real(np.trace(s))))
     if rank == 0:
         inv = mps_inv
@@ -305,11 +339,8 @@ def jn_invert(M, S):
         sv, svecs = np.linalg.eigh((s + s.conj().T) / 2.0)
         q = svecs[:, sv > 0.5]
         m1 = np.eye(q.shape[1], dtype=mps_inv.dtype) - q.conj().T @ mps_inv @ q
-        cond1 = np.linalg.cond(m1)
-        if not np.isfinite(cond1) or cond1 > COND_LIMIT:
-            raise SingularFactorError(where + "M1", cond1)
-        m1_inv = q @ np.linalg.inv(m1) @ q.conj().T
-        inv = mps_inv + mps_inv @ m1_inv @ mps_inv
+        m1_inv = _lu_inverse(_guarded_lu(m1, where + "M1"))
+        inv = mps_inv + mps_inv @ (q @ m1_inv @ q.conj().T) @ mps_inv
     if isinstance(M, SectorOperator):
         return SectorOperator(ell=M.ell, grid=M.grid, matrix=inv)
     return inv

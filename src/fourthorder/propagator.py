@@ -3,11 +3,16 @@
 The evolution kernel is the Stone integral of the boundary difference of
 perturbed resolvents.  The free part has a closed-form integrand and a
 certified improper tail.  The potential's correction enters through
-per-sector sandwiches (R0 v) M^{-1} (v R0); those are expensive per
-energy, so a CorrectionCache samples the sector-resummed difference once
-per geometry on an eta grid, splines it, and every time sample integrates
-the cheap spline.  Only the + boundary is ever assembled: for real data
-the - boundary is its complex conjugate.
+per-sector sandwiches (R0 v) M^{-1} (v R0).  Both R0 v rows and the R0
+block of M come from the closed-form sector kernel
+R0_l(r, r') = [i eta j_l(eta r<) h_l(eta r>) - (2/pi) kappa i_l(kappa r<)
+k_l(kappa r>)] / (1 + 2 eta^2) of partial_waves.free_sector_resolvent
+(the addition theorems of DLMF 10.60), with no mu-quadrature.  A
+sandwich still needs one factorization per energy, so a CorrectionCache
+samples the sector-resummed difference once per geometry on an eta grid,
+splines it, and every time sample integrates the cheap spline.  Only the
++ boundary is ever assembled: for real data the - boundary is its
+complex conjugate.
 
 Threshold corrections: at a zero-energy resonance or eigenvalue the
 sandwich difference carries a 1/eta pole whose Stone integral decays only
@@ -16,9 +21,9 @@ correction truncated at eta = t^{-1/2} leaves a Fresnel-sized t^{-1/2}
 residue from the pole's tail beyond the cut.  build_threshold_data derives
 the zero-energy pole blocks once; F_kernel and G_kernel sandwich them as
 separable finite-rank operators times the full-range Stone weight
-integral, and the cache reads its pole coefficient from the same blocks,
-so the evolution's subtract="auto" mode performs the equivalent
-subtraction.  G additionally carries the second-kernel boundary-difference
+integral (a fixed Gauss rule on a rotated ray, O(1) in t), and the cache
+reads its pole coefficient from the same blocks, so the evolution's
+subtract="auto" mode performs the equivalent subtraction.  G additionally carries the second-kernel boundary-difference
 display, which is itself of t^{-3/2} size.
 """
 
@@ -26,13 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .birman_schwinger import (
     Potential,
+    _free_sector_matrix,
     _m_from_r0,
     _projection,
     _resonance_block,
@@ -52,9 +57,8 @@ from .oscillatory import (
 from .partial_waves import (
     ELL_MAX_CLASSIFY,
     RadialGrid,
-    _n_mu_default,
-    _pair_projection,
-    build_sector_operator,
+    _gauss_rule,
+    free_sector_resolvent,
     resum_sectors,
 )
 from .spectral_map import eta_of_lambda, lambda_of_eta, stone_jacobian
@@ -93,8 +97,9 @@ _SPLINE_REL = 1e-4
 # potential is critical only to ~1e-11, which caps the singular growth of
 # M^{-1} below a crossover eta (sqrt of the detuning for a second-order
 # pole), so the limit of -eta Im M^{-1} must be taken on the plateau above
-# the crossover, not at eta -> 0.  The blocks are the linear Richardson
-# step 2 B(h) - B(2h) on that plateau, which cancels a term linear in eta.
+# the crossover, not at eta -> 0.  B(eta) = -eta Im M^{-1}(eta) is even in
+# eta to leading order, so the blocks are the quadratic Richardson step
+# (4 B(h) - B(2h)) / 3 on that plateau, which cancels its eta^2 term.
 _POLE_FIT_ETA = 1e-3
 
 
@@ -130,15 +135,10 @@ class PropagatorSample:
     est_error: float
 
 
-def _sandwich_vector(eta: float, ell: int, r: float, potential: Potential, grid: RadialGrid) -> np.ndarray:
-    """Coefficients of v R0+(eta; r, .): the off-grid contraction vector."""
-    kernel = lambda s: free_resolvent(PLUS, eta, s)
-    if r < 1e-300:
-        row = FOUR_PI * kernel(grid.nodes) if ell == 0 else np.zeros(grid.count, dtype=complex)
-    else:
-        n_mu = _n_mu_default(ell, 2.0 * abs(eta) * min(r, grid.r_max))
-        row = _pair_projection(kernel, ell, np.full(grid.count, r), grid.nodes, n_mu)
-    return np.sqrt(grid.weights) * grid.nodes * potential.half(grid.nodes) * row
+def _sandwich_rows(eta: float, ell: int, radii, potential: Potential, grid: RadialGrid) -> np.ndarray:
+    """Coefficients of v R0+(eta; r, .) for each off-grid radius r, one row each."""
+    rows = free_sector_resolvent(PLUS, eta, ell, radii, grid.nodes)
+    return rows * (np.sqrt(grid.weights) * grid.nodes * potential.half(grid.nodes))[None, :]
 
 
 def _free_kernel_result(t: float, separation: float, tol: float) -> QuadResult:
@@ -178,8 +178,7 @@ def perturbed_resolvent(
     for ell in range(ell_max + 1):
         m_op = build_M(sign, eta, potential, grid, ell)
         minv = jn_invert(m_op, _projection(s1.get(ell), grid.count)).matrix
-        left = _sandwich_vector(eta, ell, geometry.r, potential, grid)
-        right = _sandwich_vector(eta, ell, geometry.r_prime, potential, grid)
+        left, right = _sandwich_rows(eta, ell, [geometry.r, geometry.r_prime], potential, grid)
         if sign == MINUS:
             left, right = left.conj(), right.conj()
         sands.append(left @ minv @ right)
@@ -229,7 +228,7 @@ def build_threshold_data(potential: Potential, grid: RadialGrid, classification)
             m_op = build_M(PLUS, eta, potential, grid, ell)
             return -eta * jn_invert(m_op, projection).matrix.imag
 
-        pole_matrices[ell] = 2.0 * first_order(_POLE_FIT_ETA) - first_order(2.0 * _POLE_FIT_ETA)
+        pole_matrices[ell] = (4.0 * first_order(_POLE_FIT_ETA) - first_order(2.0 * _POLE_FIT_ETA)) / 3.0
     return ThresholdData(
         potential=potential,
         grid=grid,
@@ -241,19 +240,29 @@ def build_threshold_data(potential: Potential, grid: RadialGrid, classification)
     )
 
 
-@lru_cache(maxsize=256)
-def _fresnel_weight(
-    t: float, cut: float = 4.0, tol: float = 1e-10, max_panels: int = DEFAULT_MAX_PANELS
-) -> QuadResult:
-    # full-range Stone weight of a first-order pole,
-    # int_0^inf (4 eta^2 + 2) e^{-it lambda}: panels up to the cut, then
-    # the closed-form tail.  F/G use the fixed cut; an evolution sample
-    # passes its own cut and budget, so its cost follows that cut.
-    plan = IntegrationPlan(t=t, interval=(0.0, cut), tol=tol, max_panels=max_panels)
-    body = _integrate(lambda etas: 4.0 * etas**2 + 2.0, plan)
-    tail = _pole_tail(t, cut)
-    value = complex(body.value + tail.value)
-    return QuadResult(value=value, error=body.error + tail.error, panels=body.panels)
+# Stone weight of the pole on the rotated ray eta = e^{-i pi/8} y / sqrt(t):
+# the quartic phase turns into the decay e^{-y^4/t - y^2/sqrt2}, below
+# 1e-24 past y = 9, so a fixed Gauss rule on [0, 9] converges for t > 1
+_FRESNEL_ROTATION = np.exp(-1j * np.pi / 8.0)
+_FRESNEL_Y_MAX = 9.0
+_FRESNEL_ORDERS = (96, 128)
+
+
+def _fresnel_weight(t: float) -> QuadResult:
+    """Full-range Stone weight of a first-order pole, int_0^inf (4 eta^2 + 2) e^{-it lambda}.
+
+    The integrand is entire and decays in the sector between the real
+    axis and the ray, so the integral equals the one along the ray;
+    the error is the difference of two rule orders.
+    """
+    w2 = _FRESNEL_ROTATION**2
+    values = []
+    for order in _FRESNEL_ORDERS:
+        x, w = _gauss_rule(order)
+        y = 0.5 * _FRESNEL_Y_MAX * (x + 1.0)
+        body = (4.0 * w2 * y**2 / t + 2.0) * np.exp(-(y**4) / t - 1j * w2 * y**2)
+        values.append(0.5 * _FRESNEL_Y_MAX * _FRESNEL_ROTATION / math.sqrt(t) * (w @ body))
+    return QuadResult(value=complex(values[-1]), error=abs(values[-1] - values[0]), panels=0)
 
 
 def _pole_sandwich(geometry: Geometry, data: ThresholdData, blocks: dict) -> complex:
@@ -263,9 +272,9 @@ def _pole_sandwich(geometry: Geometry, data: ThresholdData, blocks: dict) -> com
     of the inverse; the -2i carries the (+)/(-) pairing of the residue.
     """
     sectors = np.zeros(max(blocks) + 1)
+    radii = [geometry.r, geometry.r_prime]
     for ell, block in blocks.items():
-        left = _sandwich_vector(0.0, ell, geometry.r, data.potential, data.grid)
-        right = _sandwich_vector(0.0, ell, geometry.r_prime, data.potential, data.grid)
+        left, right = _sandwich_rows(0.0, ell, radii, data.potential, data.grid)
         sectors[ell] = (left @ block @ right).real
     return -2j * resum_sectors(sectors, geometry.cos_gamma)
 
@@ -279,14 +288,14 @@ def _difference_display(t: float, geometry: Geometry, data: ThresholdData) -> co
     """
     plan = IntegrationPlan(t=t, interval=(0.0, t**-0.5), tol=1e-10)
     pot, grid = data.potential, data.grid
+    radii = [geometry.r, geometry.r_prime]
     sectors = np.zeros(max(data.pole_blocks) + 1, dtype=complex)
     for ell, block in data.pole_blocks.items():
 
         def integrand(etas):
             out = np.empty(etas.size, dtype=complex)
             for k, eta in enumerate(etas):
-                left = _sandwich_vector(eta, ell, geometry.r, pot, grid)
-                right = _sandwich_vector(eta, ell, geometry.r_prime, pot, grid)
+                left, right = _sandwich_rows(eta, ell, radii, pot, grid)
                 out[k] = 2j * (left @ block @ right).imag
             return (4.0 * etas + 2.0 / etas) * out
 
@@ -334,7 +343,8 @@ class CorrectionCache:
     (+)-minus-(-) sandwich difference], which is bounded through the
     threshold in every verdict, together with its limit W_raw(0+), the
     pole coefficient, sandwiched from build_threshold_data's zero-energy
-    blocks.  Built once, read concurrently.
+    blocks; those blocks are kept as threshold_data, for F_kernel and
+    G_kernel.  Built once, read concurrently.
     """
 
     def __init__(
@@ -359,11 +369,12 @@ class CorrectionCache:
         self._splines = {}
         self._profile = {}
         self._build()
-        data = build_threshold_data(potential, grid, classification)
+        self.threshold_data = build_threshold_data(potential, grid, classification)
         # a sector left out of the cache has no pole in its splines either
-        blocks = {ell: b for ell, b in data.pole_matrices.items() if ell <= ell_max}
+        blocks = {ell: b for ell, b in self.threshold_data.pole_matrices.items() if ell <= ell_max}
         self._pole = {
-            g: _pole_sandwich(g, data, blocks) if blocks else 0.0 + 0.0j for g in self.geometries
+            g: _pole_sandwich(g, self.threshold_data, blocks) if blocks else 0.0 + 0.0j
+            for g in self.geometries
         }
 
     def _build(self):
@@ -371,17 +382,25 @@ class CorrectionCache:
         s1 = self.classification.s1_basis
         projections = [_projection(s1.get(ell), grid.count) for ell in range(self.ell_max + 1)]
         radii = sorted({g.r for g in self.geometries} | {g.r_prime for g in self.geometries})
-        # per geometry, Im of each sector's sandwich at every eta node
-        sand_im = {g: np.empty((self.ell_max + 1, self.eta_nodes.size)) for g in self.geometries}
+        left = [radii.index(g.r) for g in self.geometries]
+        right = [radii.index(g.r_prime) for g in self.geometries]
+        n = grid.count
+        scale = np.sqrt(grid.weights) * grid.nodes
+        weight = scale * pot.half(grid.nodes)
+        # one kernel evaluation per (eta, l) serves M's R0 block (the grid
+        # rows) and the sandwich rows of every geometry radius (the rest)
+        rows_from = np.concatenate([grid.nodes, radii])
+        # Im of each sector's sandwich at every eta node, per geometry
+        sand_im = np.empty((len(self.geometries), self.ell_max + 1, self.eta_nodes.size))
         for k, eta in enumerate(self.eta_nodes):
             for ell in range(self.ell_max + 1):
-                m_op = build_M(PLUS, float(eta), pot, grid, ell)
+                kern = free_sector_resolvent(PLUS, eta, ell, rows_from, grid.nodes)
+                m_op = _m_from_r0(scale[:, None] * kern[:n] * scale[None, :], pot, grid, ell)
                 minv = jn_invert(m_op, projections[ell]).matrix
-                rows = {r: _sandwich_vector(float(eta), ell, r, pot, grid) for r in radii}
-                for g in self.geometries:
-                    sand_im[g][ell, k] = (rows[g.r] @ minv @ rows[g.r_prime]).imag
-        for g in self.geometries:
-            vals = 2j * self.eta_nodes * resum_sectors(sand_im[g], g.cos_gamma)
+                rows = kern[n:] * weight[None, :]
+                sand_im[:, ell, k] = (rows @ minv @ rows.T)[left, right].imag
+        for g, sand in zip(self.geometries, sand_im):
+            vals = 2j * self.eta_nodes * resum_sectors(sand, g.cos_gamma)
             self._splines[g] = CubicSpline(self.eta_nodes, vals)
             self._profile[g] = np.abs(vals)
 
@@ -480,7 +499,7 @@ def evolution_kernel(
         # the pole's own tail is kept in closed form, so the shifted body
         # plus this term subtracts the pole over the full energy range
         pole_tail = _pole_tail(t, float(eta_cut))
-        weight = _fresnel_weight(t, float(eta_cut), tol, max_panels)
+        weight = _fresnel_weight(t)
         value += _STONE_PREFACTOR * shift * pole_tail.value
         correction = -_STONE_PREFACTOR * shift * weight.value
         est_error += abs(_STONE_PREFACTOR) * abs(shift) * weight.error
@@ -508,9 +527,7 @@ def weighted_operator(
     """Weighted sector matrix diag((1+r)^-s') R_V diag((1+r)^-s)."""
     if not (s > 0.5 and s_prime > 0.5):
         raise ValueError("weights need s, s' > 1/2")
-    r0 = build_sector_operator(
-        lambda sep: free_resolvent(sign, eta, sep), ell, grid, oscillation=eta
-    ).matrix
+    r0 = _free_sector_matrix(sign, eta, grid, ell)
     if potential is None:
         body = r0
     else:

@@ -9,7 +9,7 @@ import pytest
 
 from fourthorder.birman_schwinger import classify, make_potential, resonance_tune
 from fourthorder.partial_waves import build_grid
-from fourthorder.propagator import CorrectionCache, Geometry, build_threshold_data
+from fourthorder.propagator import CorrectionCache, Geometry
 
 GEOMETRIES = (
     Geometry(1.5, 2.5, 0.3),
@@ -80,10 +80,10 @@ def subcritical_cache(subcritical_potential, grid64, subcritical_classification)
 
 
 @pytest.fixture(scope="session")
-def resonance_data(resonance_potential, grid64, resonance_classification):
-    return build_threshold_data(resonance_potential, grid64, resonance_classification)
+def resonance_data(resonance_cache):
+    return resonance_cache.threshold_data
 
 
 @pytest.fixture(scope="session")
-def eigenvalue_data(eigenvalue_potential, grid64, eigenvalue_classification):
-    return build_threshold_data(eigenvalue_potential, grid64, eigenvalue_classification)
+def eigenvalue_data(eigenvalue_cache):
+    return eigenvalue_cache.threshold_data

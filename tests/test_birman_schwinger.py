@@ -99,6 +99,16 @@ class TestOperatorAssembly:
         with pytest.raises(ValueError, match="vanishes"):
             build_P(attractive_gaussian(0.0), grid64)
 
+    def test_polynomial_tail_stays_finite(self):
+        # the default r_max of a beta = 4 tail is ~1e4, so kappa r reaches
+        # ~1e4 (and ~8e4 at eta = 8) where unscaled i_l overflows
+        pot = make_potential("polynomial", -1.0, beta=4.0)
+        grid = build_grid(32, beta=4.0)
+        assert grid.r_max > 9e3
+        for eta in (0.0, 0.7, 8.0):
+            for ell in (0, 2):
+                assert np.all(np.isfinite(build_M(PLUS, eta, pot, grid, ell).matrix))
+
     def test_negative_eta_rejected(self, grid64, subcritical_potential):
         with pytest.raises(ValueError, match="nonnegative"):
             build_M(PLUS, -0.1, subcritical_potential, grid64)

@@ -8,6 +8,7 @@ from fourthorder.partial_waves import (
     build_grid,
     build_sector_operator,
     default_r_max,
+    free_sector_resolvent,
     legendre_project,
     resum_sectors,
 )
@@ -117,6 +118,58 @@ class TestLegendreProject:
             legendre_project(newton, 4, 1.0, 2.0, n_mu=10)
         with pytest.raises(ValueError):
             legendre_project(lambda s: np.full_like(s, np.nan), 0, 1.0, 2.0)
+
+
+class TestFreeSectorResolvent:
+    @pytest.mark.parametrize("count", [16, 32, 64])
+    def test_matches_projection_oracle(self, count):
+        # compared as Nystrom matrices, sqrt(w) r K r' sqrt(w'): the oracle
+        # computes mu from the separation and so loses about eps r>/r< of
+        # the kernel's size at the smallest nodes, where the matrix weights
+        # shrink like r^2
+        grid = build_grid(count, r_max=9.0)
+        nodes = grid.nodes
+        scale = np.sqrt(grid.weights) * nodes
+        rows = [0, count // 4, count // 2, count - 1]
+        for eta in (0.0, 1e-6, 0.01, 0.7, 3.0, 8.0):
+            kernel = lambda s: free_resolvent(PLUS, eta, s)
+            n_mu = 80 + int(np.ceil(1.2 * eta * grid.r_max))
+            for ell in (0, 1, 2, 5):
+                got = free_sector_resolvent(PLUS, eta, ell, nodes[rows], nodes)
+                want = np.array(
+                    [[legendre_project(kernel, ell, nodes[i], b, n_mu=n_mu) for b in nodes] for i in rows]
+                )
+                weights = scale[rows, None] * scale[None, :]
+                err = np.max(np.abs(weights * (got - want)))
+                assert err <= 1e-12 * np.max(np.abs(weights * want)), (eta, ell)
+
+    def test_small_radii_do_not_cancel(self):
+        # for kappa r << 1 the oscillatory and decaying terms each reach
+        # 1/((2l+1) r) while the kernel is O(r), so differencing the two
+        # Bessel products loses up to 4e-7 here; at r = r' the oracle's
+        # own error is at most 5e-10
+        for r in (1e-3, 3e-3):
+            for eta in (0.0, 0.01):
+                kernel = lambda s: free_resolvent(PLUS, eta, s)
+                for ell in (1, 2, 5):
+                    want = legendre_project(kernel, ell, r, r, n_mu=64)
+                    got = free_sector_resolvent(PLUS, eta, ell, r, r)[0, 0]
+                    assert abs(got - want) <= 2e-9 * abs(want), (r, eta, ell)
+
+    def test_minus_boundary_is_conjugate(self, grid64):
+        for eta in (0.0, 0.01, 3.0):
+            for ell in (0, 2):
+                plus = free_sector_resolvent(PLUS, eta, ell, grid64.nodes, grid64.nodes)
+                minus = free_sector_resolvent(MINUS, eta, ell, grid64.nodes, grid64.nodes)
+                assert np.array_equal(minus, plus.conj())
+
+    def test_validation(self, grid64):
+        with pytest.raises(ValueError, match="eta"):
+            free_sector_resolvent(PLUS, -0.5, 0, grid64.nodes, grid64.nodes)
+        with pytest.raises(ValueError, match="sector"):
+            free_sector_resolvent(PLUS, 0.5, -1, grid64.nodes, grid64.nodes)
+        with pytest.raises(ValueError, match="radii"):
+            free_sector_resolvent(PLUS, 0.5, 0, [-1.0], grid64.nodes)
 
 
 class TestSectorOperator:

@@ -13,26 +13,20 @@ from fourthorder.birman_schwinger import (
 )
 from fourthorder.decayfit import fit_decay
 from fourthorder.kernels import FOUR_PI, MINUS, PLUS, free_resolvent
-from fourthorder.oscillatory import stone_integral
-from fourthorder.partial_waves import (
-    _pair_projection,
-    build_grid,
-    build_sector_operator,
-    legendre_project,
-)
+from fourthorder.oscillatory import IntegrationPlan, _integrate, stone_integral
+from fourthorder.partial_waves import build_grid, build_sector_operator, legendre_project
 from fourthorder.propagator import (
     CorrectionCache,
     F_kernel,
     G_kernel,
     Geometry,
-    build_threshold_data,
     evolution_kernel,
     free_kernel,
     perturbed_resolvent,
     weighted_norm,
     weighted_operator,
 )
-from fourthorder.propagator import _fresnel_weight, _pole_sandwich, _pole_tail, _sandwich_vector
+from fourthorder.propagator import _fresnel_weight, _pole_sandwich, _pole_tail, _sandwich_rows
 
 STONE_PREFACTOR = 1.0 / (2.0j * math.pi)
 
@@ -92,21 +86,26 @@ class TestFreeKernel:
 
 
 class TestSectorRow:
-    def test_matches_projection_oracle(self, grid64):
+    def test_matches_projection_oracle(self, grid64, subcritical_potential):
         # an off-grid radius against every node, as the sandwich rows use it
-        kernel = lambda s: free_resolvent(PLUS, 0.7, s)
-        for ell in (0, 1, 2):
-            row = _pair_projection(kernel, ell, np.full(grid64.count, 1.9), grid64.nodes, 40)
-            for j in (0, 17, 40, 63):
-                want = legendre_project(kernel, ell, 1.9, grid64.nodes[j], n_mu=40)
-                assert row[j] == pytest.approx(want, rel=1e-11)
-
-    def test_degenerate_radius(self, grid64, subcritical_potential):
         nodes = grid64.nodes
         weight = np.sqrt(grid64.weights) * nodes * subcritical_potential.half(nodes)
-        row0 = _sandwich_vector(0.3, 0, 0.0, subcritical_potential, grid64)
-        assert np.allclose(row0, weight * FOUR_PI * free_resolvent(PLUS, 0.3, nodes))
-        assert not _sandwich_vector(0.3, 1, 0.0, subcritical_potential, grid64).any()
+        for eta in (0.0, 0.7):
+            kernel = lambda s: free_resolvent(PLUS, eta, s)
+            for ell in (0, 1, 2):
+                (row,) = _sandwich_rows(eta, ell, [1.9], subcritical_potential, grid64)
+                want = weight * [legendre_project(kernel, ell, 1.9, b, n_mu=40) for b in nodes]
+                assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_degenerate_radius(self, grid64, subcritical_potential):
+        # radius 0 is the exact limit, 4 pi R0 in sector 0 and nothing above
+        nodes = grid64.nodes
+        weight = np.sqrt(grid64.weights) * nodes * subcritical_potential.half(nodes)
+        kernel = lambda s: free_resolvent(PLUS, 0.3, s)
+        (row0,) = _sandwich_rows(0.3, 0, [0.0], subcritical_potential, grid64)
+        want = weight * [legendre_project(kernel, 0, 0.0, b) for b in nodes]
+        assert np.max(np.abs(row0 - want)) <= 1e-15 * np.max(np.abs(want))
+        assert not _sandwich_rows(0.3, 1, [0.0], subcritical_potential, grid64).any()
 
 
 class TestPerturbedResolvent:
@@ -171,7 +170,7 @@ class TestThresholdData:
         x_part = (FOUR_PI / resonance_data.l1_norm) * resonance_data.x_block
         assert set(resonance_data.pole_matrices) == {0}
         rel = np.linalg.norm(resonance_data.pole_matrices[0] - x_part) / np.linalg.norm(x_part)
-        assert rel < 1e-4
+        assert rel < 1e-9
 
     def test_pole_coefficient_consistency(self, geometries, resonance_cache, eigenvalue_cache):
         # the block pole against the small-eta limit of the cache's own
@@ -295,6 +294,21 @@ class TestCorrections:
         for t in (10.0, 200.0):
             want = rotated_quadrature(lambda e: 4.0 * e**2 + 2.0, t)
             assert _fresnel_weight(t).value == pytest.approx(want, rel=1e-7)
+
+    def test_fresnel_weight_against_panels(self):
+        # panels on the real axis up to eta = 4, then the pole's closed tail
+        for t in (10.0, 1e3):
+            plan = IntegrationPlan(t=t, interval=(0.0, 4.0), tol=1e-10)
+            want = _integrate(lambda e: 4.0 * e**2 + 2.0, plan).value + _pole_tail(t, 4.0).value
+            assert _fresnel_weight(t).value == pytest.approx(want, rel=1e-8)
+
+    def test_fresnel_weight_late_times(self):
+        # past t ~ 2e4 the real-axis panels exceeded their budget; the weight
+        # tends to 2 int_0^inf e^{-it eta^2} d eta = sqrt(pi / (i t))
+        for t in (3e4, 1e5):
+            weight = _fresnel_weight(t)
+            assert weight.value * math.sqrt(t) == pytest.approx(np.sqrt(np.pi / 1j), rel=10.0 / t)
+            assert weight.error < 1e-12 * abs(weight.value)
 
     def test_F_matches_evolution_correction(self, geometries, resonance_cache, resonance_data):
         g = geometries[0]
