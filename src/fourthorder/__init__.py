@@ -7,7 +7,7 @@ driver.  Modules:
     kernels           free resolvent boundary values, small-eta expansion
     spectral_map      eta <-> lambda change of variables, Stone jacobian
     oscillatory       panel quadrature for Stone-type integrals
-    partial_waves     radial grids, sector-kernel quadrature, Legendre resummation
+    partial_waves     radial grids, closed-form sector kernels, resummation
     birman_schwinger  potentials, M(eta), threshold classification, tuning
     propagator        time kernels, threshold corrections, weighted norms
     decayfit          log-log decay-rate fits

@@ -9,9 +9,11 @@ null-space chain T0 -> T1 -> T2, inverts near-singular M by projection
 splitting, and extracts the leading expansion blocks in each case.
 
 All matrices live in the symmetrized sector convention of partial_waves,
-so adjoints are literal matrix conjugate-transposes.  The R0 block of M,
-and of T0 at eta = 0 where R0 = G0, is the closed-form sector kernel
-free_sector_resolvent; only the G2 sandwich runs the mu-quadrature.
+so adjoints are literal matrix conjugate-transposes.  Every sector kernel
+comes in closed form from partial_waves: the R0 block of M, and of T0 at
+eta = 0 where R0 = G0, from free_sector_resolvent, and the v G2 v
+sandwich of T2, A_{-2} and the resonance's constant block from
+g2_sector_kernel; no mu-quadrature runs here.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ from .errors import (
     IndeterminateClassification,
     SingularFactorError,
 )
-from .kernels import FOUR_PI, MINUS, PLUS, expansion_G
+from .kernels import FOUR_PI, MINUS, PLUS
 from .partial_waves import (
     ELL_MAX_CLASSIFY,
     RadialGrid,
     SectorOperator,
-    build_sector_operator,
     free_sector_resolvent,
+    g2_sector_kernel,
 )
 
 __all__ = [
@@ -111,11 +113,10 @@ def _check_inputs(potential: Potential, grid: RadialGrid) -> None:
         raise ValueError("potential is not finite on the grid")
 
 
-def _sandwich(kernel, potential: Potential, grid: RadialGrid, ell: int):
-    """v K v as a matrix in the symmetrized convention."""
-    op = build_sector_operator(kernel, ell, grid)
-    v = potential.half(grid.nodes)
-    return v[:, None] * op.matrix * v[None, :]
+def _g2_sandwich(potential: Potential, grid: RadialGrid, ell: int) -> np.ndarray:
+    """v G2 v in one sector, as a matrix in the symmetrized convention."""
+    scale = np.sqrt(grid.weights) * grid.nodes * potential.half(grid.nodes)
+    return scale[:, None] * g2_sector_kernel(ell, grid.nodes, grid.nodes) * scale[None, :]
 
 
 def _free_sector_matrix(sign, eta: float, grid: RadialGrid, ell: int) -> np.ndarray:
@@ -167,7 +168,6 @@ class Classification:
     gap_ratios: dict
     v_overlaps: dict
     tol: float
-    sectors_checked: tuple
 
 
 def _null_split(matrix: np.ndarray, tol: float, scale: float | None = None):
@@ -207,33 +207,21 @@ def classify(
     """
     if not (0.0 < tol < 1.0):
         raise ValueError("tol must sit in (0, 1)")
+    if ell_max < 0:
+        raise ValueError(f"ell_max must be >= 0, got {ell_max}")
     _check_inputs(potential, grid)
     s1_basis, s2_basis = {}, {}
     singular = {"T0": {}, "T1": {}, "T2": {}}
     gaps, overlaps = {}, {}
-    sectors = tuple(range(ell_max + 1))
 
-    for ell in sectors:
+    for ell in range(ell_max + 1):
         t0 = build_T0(potential, grid, ell).matrix
         s, null_vecs, thr = _null_split(t0, tol)
         singular["T0"][ell] = s[::-1][: max(4, null_vecs.shape[1] + 1)]
-        kept = s[s >= thr]
-        dropped = s[s < thr]
+        kept, dropped = s[s >= thr], s[s < thr]
         gaps[ell] = float(kept[-1] / dropped[0]) if dropped.size else float("inf")
         if null_vecs.shape[1]:
             s1_basis[ell] = null_vecs
-
-    if not s1_basis:
-        return Classification(
-            verdict="regular",
-            s1_basis={},
-            s2_basis={},
-            singular_values=singular,
-            gap_ratios=gaps,
-            v_overlaps={},
-            tol=tol,
-            sectors_checked=sectors,
-        )
 
     b = np.sqrt(FOUR_PI) * grid.coefficients(potential.half)
     for ell, q in s1_basis.items():
@@ -253,7 +241,9 @@ def classify(
 
     n1 = sum(v.shape[1] for v in s1_basis.values())
     n2 = sum(v.shape[1] for v in s2_basis.values())
-    if n2 == 0:
+    if n1 == 0:
+        verdict = "regular"
+    elif n2 == 0:
         verdict = "resonance"
     elif n2 == n1:
         verdict = "eigenvalue"
@@ -261,8 +251,7 @@ def classify(
         verdict = "resonance_and_eigenvalue"
 
     for ell, q2 in s2_basis.items():
-        body = _sandwich(lambda s_: expansion_G(2, s_), potential, grid, ell)
-        t2 = q2.T @ body @ q2
+        t2 = q2.T @ _g2_sandwich(potential, grid, ell) @ q2
         s2v = np.linalg.svd(t2, compute_uv=False)
         singular["T2"][ell] = s2v[::-1]
         if s2v[-1] <= tol * max(1.0, s2v[0]):
@@ -279,7 +268,6 @@ def classify(
         gap_ratios=gaps,
         v_overlaps=overlaps,
         tol=tol,
-        sectors_checked=sectors,
     )
 
 
@@ -379,11 +367,9 @@ def _resonance_block(q1: np.ndarray, p: np.ndarray, tol: float) -> np.ndarray:
     return q1 @ ((vecs[:, keep] / vals[keep]) @ vecs[:, keep].T) @ q1.T
 
 
-def _second_kernel_block(
-    potential: Potential, grid: RadialGrid, ell: int, q2: np.ndarray
-) -> np.ndarray:
+def _second_kernel_block(potential: Potential, grid: RadialGrid, ell: int, q2: np.ndarray) -> np.ndarray:
     """A_{-2} = Q2 (Q2^T v G2 v Q2)^{-1} Q2^T, the eigenvalue's 1/eta^2 block."""
-    return _restricted_inverse(_sandwich(lambda s: expansion_G(2, s), potential, grid, ell), q2)
+    return _restricted_inverse(_g2_sandwich(potential, grid, ell), q2)
 
 
 def _radial_resolvent(potential: Potential, grid: RadialGrid, q1: np.ndarray, p: np.ndarray):
@@ -430,7 +416,7 @@ def leading_coefficients(
         p = build_P(potential, grid).matrix
         d0, rho = _radial_resolvent(potential, grid, q1, p)
         x = _resonance_block(q1, p, classification.tol)
-        g2 = _sandwich(lambda s: expansion_G(2, s), potential, grid, ell)
+        g2 = _g2_sandwich(potential, grid, ell)
         # P D0 P = rho P because P has rank one, which folds the second-order
         # projection term into rho * X P X
         m0 = (

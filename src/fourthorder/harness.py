@@ -215,6 +215,9 @@ def _validate(name: str, values: dict) -> None:
         lo, hi = values["bracket.lo"], values["bracket.hi"]
         if not (0.0 < lo < hi):
             raise ConfigError(f"bracket must satisfy 0 < lo < hi, got [{lo}, {hi}]")
+    for key in ("grid.ell_max", "tune.sector"):
+        if values.get(key, 0) < 0:
+            raise ConfigError(f"{key} must be >= 0, got {values[key]}")
     if "window.samples" in values and values["window.samples"] < 5:
         raise ConfigError("window.samples must be at least 5 (decay fits need 5 points)")
     if "evolution.subtract" in values and values["evolution.subtract"] not in ("auto", "none"):
@@ -362,6 +365,16 @@ def _fit_assertion(name: str, fit_dict: dict, target: float, band: float) -> dic
     return {"name": name, "pass": bool(ok), "detail": detail}
 
 
+def _exponent_assertions(config: ExperimentConfig, fits: list, keyed: bool = False) -> list:
+    """<label>-exponent checks against expect.exponent, or expect.<label>_exponent if keyed."""
+    out = []
+    for fit in fits:
+        key = f"expect.{fit['label']}_exponent" if keyed else "expect.exponent"
+        if config.get(key) is not None:
+            out.append(_fit_assertion(f"{fit['label']}-exponent", fit, config[key], config["expect.band"]))
+    return out
+
+
 def _verdict_assertion(verdict: str, expected: str) -> dict:
     return {
         "name": "verdict",
@@ -407,13 +420,8 @@ def _run_free_decay(config: ExperimentConfig, threads: int):
         sups.append(max(abs(v) for v in vals))
         for r, v in zip(radii, vals):
             rows.append((float(t), float(r), 0.0, 1.0, v.real, v.imag, abs(v), 0.0, tol))
-    fit = fit_decay(np.column_stack([ts, sups]))
-    fits = [_labeled(fit, "sup")]
-    assertions = []
-    if config.get("expect.exponent") is not None:
-        assertions.append(
-            _fit_assertion("sup-exponent", fits[0], config["expect.exponent"], config["expect.band"])
-        )
+    fits = [_labeled(fit_decay(np.column_stack([ts, sups])), "sup")]
+    assertions = _exponent_assertions(config, fits)
     header = ("t", "r", "r_prime", "cos_gamma", "re", "im", "abs", "correction", "est_error")
     return None, fits, assertions, header, rows
 
@@ -437,38 +445,17 @@ def _run_perturbed_decay(config: ExperimentConfig, threads: int):
         return evolution_kernel(t, geometry, cache, subtract=subtract, tol=tol)
 
     samples = _parallel_map(one, [float(t) for t in ts], threads)
-    rows = []
-    for s in samples:
-        rows.append(
-            (
-                s.t,
-                geometry.r,
-                geometry.r_prime,
-                geometry.cos_gamma,
-                s.value.real,
-                s.value.imag,
-                abs(s.value),
-                abs(s.correction),
-                s.est_error,
-            )
-        )
+    where = (geometry.r, geometry.r_prime, geometry.cos_gamma)
+    rows = [
+        (s.t, *where, s.value.real, s.value.imag, abs(s.value), abs(s.correction), s.est_error)
+        for s in samples
+    ]
     raw = np.array([abs(s.value + s.correction) for s in samples])
     fits = [_labeled(fit_decay(np.column_stack([ts, raw])), "raw")]
     if subtract == "auto":
         subtracted = np.array([abs(s.value) for s in samples])
         fits.append(_labeled(fit_decay(np.column_stack([ts, subtracted])), "subtracted"))
-    assertions = []
-    band = config["expect.band"]
-    if config.get("expect.raw_exponent") is not None:
-        assertions.append(
-            _fit_assertion("raw-exponent", fits[0], config["expect.raw_exponent"], band)
-        )
-    if config.get("expect.subtracted_exponent") is not None:
-        assertions.append(
-            _fit_assertion(
-                "subtracted-exponent", fits[1], config["expect.subtracted_exponent"], band
-            )
-        )
+    assertions = _exponent_assertions(config, fits, keyed=True)
     header = ("t", "r", "r_prime", "cos_gamma", "re", "im", "abs", "correction", "est_error")
     return cls.verdict, fits, assertions, header, rows
 
@@ -517,14 +504,8 @@ def _run_resolvent_bounds(config: ExperimentConfig, threads: int):
 
     norms = _parallel_map(one, [float(x) for x in xs], threads)
     rows = [(float(x), float(n)) for x, n in zip(xs, norms)]
-    fit = fit_decay(np.column_stack([xs, norms]))
-    fits = [_labeled(fit, "norm")]
-    assertions = []
-    if config.get("expect.exponent") is not None:
-        assertions.append(
-            _fit_assertion("norm-exponent", fits[0], config["expect.exponent"], config["expect.band"])
-        )
-    return verdict, fits, assertions, (variable, "norm"), rows
+    fits = [_labeled(fit_decay(np.column_stack([xs, norms])), "norm")]
+    return verdict, fits, _exponent_assertions(config, fits), (variable, "norm"), rows
 
 
 def _run_expansion_check(config: ExperimentConfig, threads: int):
@@ -539,16 +520,8 @@ def _run_expansion_check(config: ExperimentConfig, threads: int):
 
     remainders = _parallel_map(one, [float(e) for e in etas], threads)
     rows = [(float(e), float(rem)) for e, rem in zip(etas, remainders)]
-    fit = fit_decay(np.column_stack([etas, remainders]))
-    fits = [_labeled(fit, "remainder")]
-    assertions = []
-    if config.get("expect.exponent") is not None:
-        assertions.append(
-            _fit_assertion(
-                "remainder-exponent", fits[0], config["expect.exponent"], config["expect.band"]
-            )
-        )
-    return None, fits, assertions, ("eta", "remainder"), rows
+    fits = [_labeled(fit_decay(np.column_stack([etas, remainders])), "remainder")]
+    return None, fits, _exponent_assertions(config, fits), ("eta", "remainder"), rows
 
 
 def _run_resonance_tune(config: ExperimentConfig, threads: int):

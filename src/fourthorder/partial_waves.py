@@ -12,15 +12,12 @@ in L^2(r^2 dr).  The sector kernel is
     K_l(r, r') = 2*pi * Int_{-1}^{1} K(sep(mu)) P_l(mu) d mu,
 
 with sep(mu) = sqrt(r^2 + r'^2 - 2 r r' mu), and the full kernel is
-recovered as Sum_l (2l+1)/(4*pi) * K_l(r, r') * P_l(cos gamma).  The mu
-integral is evaluated after substituting the separation s for mu, which
-turns the |r - r'| endpoint singularity of Coulomb-type kernels into a
-smooth integrand (the s ds jacobian supplies the vanishing factor).
+recovered as Sum_l (2l+1)/(4*pi) * K_l(r, r') * P_l(cos gamma).
 
-The free resolvent needs no mu-quadrature.  Each of its two pieces,
-e^{+-i eta s} / (4 pi s) and e^{-kappa s} / (4 pi s), has a separable
-addition-theorem expansion (DLMF 10.60.1-2), so with r< = min(r, r') and
-r> = max(r, r')
+The kernels the package computes with need no mu-quadrature.  Each of
+the two pieces of the free resolvent, e^{+-i eta s} / (4 pi s) and
+e^{-kappa s} / (4 pi s), has a separable addition-theorem expansion
+(DLMF 10.60.1-2), so with r< = min(r, r') and r> = max(r, r')
 
     R0_l(r, r') = [+-i eta j_l(eta r<) h^{(1,2)}_l(eta r>)
                    - (2/pi) kappa i_l(kappa r<) k_l(kappa r>)] / (1 + 2 eta^2),
@@ -32,7 +29,15 @@ oscillatory term is r<^l / ((2l+1) r>^(l+1)).  Where kappa * r> is small
 the two terms cancel to a value of relative size (kappa r>)^2, so there
 the kernel is summed instead as a divided difference in k^2 of the
 addition-theorem series, which is free of that cancellation.
-build_sector_operator remains the quadrature for other kernels.
+g2_sector_kernel does the same for the static kernel G2, the eta^2
+coefficient of R0: its far form differentiates the decaying term in
+kappa, its near form differentiates the series in eta^2.
+
+legendre_project is the one mu-quadrature, for any other kernel.  It
+integrates in the separation s instead of mu, which turns the |r - r'|
+endpoint singularity of Coulomb-type kernels into a smooth integrand
+(the s ds jacobian supplies the vanishing factor); build_sector_operator
+is its Nystrom matrix on a grid.
 """
 
 from __future__ import annotations
@@ -41,9 +46,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import iv, ive, jv, kve, rgamma, yv
+from scipy.special import ive, jv, kve, rgamma, yv
 
-from .kernels import FOUR_PI, _sign_factor, free_resolvent
+from .kernels import FOUR_PI, _sign_factor, expansion_G, free_resolvent
 
 __all__ = [
     "RadialGrid",
@@ -52,6 +57,7 @@ __all__ = [
     "build_sector_operator",
     "default_r_max",
     "free_sector_resolvent",
+    "g2_sector_kernel",
     "legendre_project",
     "resum_sectors",
 ]
@@ -59,9 +65,9 @@ __all__ = [
 # Classification probes sectors 0..2.
 ELL_MAX_CLASSIFY = 2
 
-# free_sector_resolvent sums the series where kappa * r> is at most this;
-# the terms there shrink like (kappa r / 2)^(2m) / (m! Gamma(m - l + 1/2)),
-# so _SERIES_TERMS of them reach rounding for every l
+# free_sector_resolvent and g2_sector_kernel sum the series where kappa * r>
+# is at most this; the terms there shrink like (kappa r / 2)^(2m) /
+# (m! Gamma(m - l + 1/2)), so _SERIES_TERMS of them reach rounding for every l
 _SERIES_RADIUS = 2.0
 _SERIES_TERMS = 16
 
@@ -155,11 +161,13 @@ def _gauss_rule(order: int):
     return x, w
 
 
-def legendre_project(kernel, ell: int, r: float, r_prime: float, n_mu: int | None = None):
-    """Sector component K_l(r, r') of a radial kernel.
+def legendre_project(kernel, ell: int, r, r_prime, n_mu: int | None = None):
+    """Sector component K_l(r, r') of a radial kernel, elementwise over broadcast radii.
 
     kernel must accept numpy arrays of separations, including the
-    removable-singularity limit at separation zero when r = r'.
+    removable-singularity limit at separation zero when r = r'.  A pair
+    with a zero radius takes the exact limit 4 pi K(r>), nonzero only
+    for l = 0.
     """
     if ell < 0:
         raise ValueError("sector index must be nonnegative")
@@ -167,34 +175,23 @@ def legendre_project(kernel, ell: int, r: float, r_prime: float, n_mu: int | Non
         n_mu = _n_mu_default(ell)
     if n_mu < 2 * ell + 16:
         raise ValueError(f"n_mu={n_mu} cannot resolve P_{ell} (need >= {2 * ell + 16})")
-    lo, hi = min(r, r_prime), max(r, r_prime)
-    if lo < 1e-300:
-        val = 4.0 * np.pi * np.asarray(kernel(np.array([hi])))[0]
-        return val if ell == 0 else 0.0 * val
-    x, w = _gauss_rule(n_mu)
-    a, b = hi - lo, hi + lo
-    s = 0.5 * (b - a) * x + 0.5 * (b + a)
-    mu = np.clip((r**2 + r_prime**2 - s**2) / (2.0 * r * r_prime), -1.0, 1.0)
-    vals = np.asarray(kernel(s))
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("kernel produced non-finite samples on the separation range")
-    pl = _legendre_rows(ell, mu)[ell]
-    return (2.0 * np.pi / (r * r_prime)) * 0.5 * (b - a) * np.sum(w * vals * s * pl)
-
-
-def _pair_projection(kernel, ell: int, r: np.ndarray, r_prime: np.ndarray, n_mu: int) -> np.ndarray:
-    """K_l(r_k, r'_k) for each pair of positive radii, vectorised over pairs."""
+    r, r_prime = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(r_prime, dtype=float))
+    edge, hi = np.minimum(r, r_prime) < 1e-300, np.maximum(r, r_prime)
+    r, r_prime = np.where(edge, 1.0, r), np.where(edge, 1.0, r_prime)  # limits taken below
     x, w = _gauss_rule(n_mu)
     a, b = np.abs(r - r_prime), r + r_prime
     half = 0.5 * (b - a)
-    s = half[:, None] * x[None, :] + 0.5 * (a + b)[:, None]
-    mu = (r[:, None] ** 2 + r_prime[:, None] ** 2 - s**2) / (2.0 * r * r_prime)[:, None]
+    s = half[..., None] * x + 0.5 * (a + b)[..., None]
+    mu = (r[..., None] ** 2 + r_prime[..., None] ** 2 - s**2) / (2.0 * r * r_prime)[..., None]
     np.clip(mu, -1.0, 1.0, out=mu)
     vals = np.asarray(kernel(s.ravel())).reshape(s.shape)
     if not np.all(np.isfinite(vals)):
         raise ValueError("kernel produced non-finite samples on the separation range")
     pl = _legendre_rows(ell, mu)[ell]
-    return (2.0 * np.pi / (r * r_prime)) * half * ((vals * s * pl) @ w)
+    out = np.asarray((2.0 * np.pi / (r * r_prime)) * half * ((vals * s * pl) @ w))
+    if edge.any():
+        out[edge] = FOUR_PI * np.asarray(kernel(hi[edge])) * (ell == 0)
+    return out[()]
 
 
 @lru_cache(maxsize=64)
@@ -207,34 +204,53 @@ def _series_coefficients(order: float) -> np.ndarray:
     return coef
 
 
-def _series_even_part(eta: float, ell: int, r: np.ndarray, r_prime: np.ndarray) -> np.ndarray:
-    """The part of (1 + 2 eta^2) R0_l(r, r') even in k, for kappa * r <= _SERIES_RADIUS.
+def _series_sum(d: np.ndarray, ell: int, r: np.ndarray, r_prime: np.ndarray) -> np.ndarray:
+    """Sum_{p,q} d_(p+q) u_p(r<) w_q(r>), from -k j_l(k r<) y_l(k r>) = Sum u_p w_q k^(2(p+q)).
 
-    With F(k) = i k j_l(k r<) h_l(k r>), the kernel is the divided
-    difference (F(eta) - F(i kappa)) / (eta^2 - (i kappa)^2).  The even
-    part -k j_l y_l of F is a power series in k^2 whose divided
-    difference D_p = (x^p - y^p) / (x - y), x = eta^2, y = -kappa^2, is
-    summed term by term, so its leading r<^l / r>^(l+1) cancels exactly.
+    Weights d_n that difference or differentiate k^(2n) do so to the
+    series term by term, so its leading r<^l / r>^(l+1) cancels exactly.
     """
-    kappa2 = 1.0 + eta * eta
-    kappa = np.sqrt(kappa2)
-    # d_p = D_p / kappa^(2(p-1)) from D_(p+1) = (x + y) D_p - x y D_(p-1)
-    d = np.zeros(2 * _SERIES_TERMS)
-    d[1] = 1.0
-    for p in range(1, d.size - 1):
-        d[p + 1] = (-d[p] + eta * eta * d[p - 1]) / kappa2
     p = np.arange(_SERIES_TERMS)
     dmat = d[p[:, None] + p[None, :]]
-    regular = lambda x: _series_coefficients(ell) * (kappa * x[:, None]) ** (ell + 2 * p)
-    irregular = lambda x: (
-        (-1.0) ** ell * _series_coefficients(-ell - 1.0) * (kappa * x[:, None]) ** (2 * p - ell - 1.0)
-    )
-    even = np.where(
+    regular = lambda x: _series_coefficients(ell) * x[:, None] ** (ell + 2 * p)
+    irregular = lambda x: (-1.0) ** ell * _series_coefficients(-ell - 1.0) * x[:, None] ** (2 * p - ell - 1.0)
+    return np.where(
         r[:, None] <= r_prime[None, :],
         regular(r) @ dmat @ irregular(r_prime).T,
         irregular(r) @ dmat @ regular(r_prime).T,
     )
-    return (1.0 + 2.0 * eta * eta) / kappa * even
+
+
+def _pairing(ell: int, r, r_prime):
+    """Validated radii and what the closed-form sector kernels are built from.
+
+    Returns r, r_prime, their distinct radii x (0 -> 1, see _at_zero), the
+    indices a, b of r and r_prime into x, and ordered(lo, hi), the matrix
+    lo(r<) hi(r>) from factors given on x.
+    """
+    if ell < 0:
+        raise ValueError("sector index must be nonnegative")
+    r, r_prime = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (r, r_prime))
+    for x in (r, r_prime):
+        if np.any(x < 0.0) or not np.all(np.isfinite(x)):
+            raise ValueError("radii must be finite and >= 0")
+    x, index = np.unique(np.concatenate([r, r_prime]), return_inverse=True)
+    x = np.where(x > 0.0, x, 1.0)
+    a, b = index[: r.size], index[r.size :]
+    lower = x[a][:, None] <= x[b][None, :]
+    ordered = lambda lo, hi: np.where(lower, np.outer(lo[a], hi[b]), np.outer(hi[a], lo[b]))
+    return r, r_prime, x, a, b, ordered
+
+
+def _at_zero(kern: np.ndarray, ell: int, r, r_prime, kernel) -> np.ndarray:
+    """kern with the exact limit 4 pi K(r>) (l = 0 only) where a radius is 0, checked finite."""
+    at_zero = (r[:, None] == 0.0) | (r_prime[None, :] == 0.0)
+    if at_zero.any():
+        edge = FOUR_PI * kernel(np.maximum(r[:, None], r_prime[None, :]))
+        kern = np.where(at_zero, edge if ell == 0 else 0.0, kern)
+    if not np.all(np.isfinite(kern)):
+        raise ValueError("kernel produced non-finite samples on the separation range")
+    return kern
 
 
 def free_sector_resolvent(sign, eta: float, ell: int, r, r_prime) -> np.ndarray:
@@ -250,20 +266,12 @@ def free_sector_resolvent(sign, eta: float, ell: int, r, r_prime) -> np.ndarray:
     eta = float(eta)
     if not (eta >= 0.0 and np.isfinite(eta)):
         raise ValueError("eta must be finite and >= 0")
-    if ell < 0:
-        raise ValueError("sector index must be nonnegative")
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    r_prime = np.atleast_1d(np.asarray(r_prime, dtype=float))
-    for x in (r, r_prime):
-        if np.any(x < 0.0) or not np.all(np.isfinite(x)):
-            raise ValueError("radii must be finite and >= 0")
+    r, r_prime, x, a, b, ordered = _pairing(ell, r, r_prime)
     kappa = np.sqrt(1.0 + eta * eta)
     nu = ell + 0.5
 
     # radial factors on the distinct radii, each divided by sqrt(radius):
     # regular and outgoing oscillatory ones, exponentially scaled modified ones
-    x, index = np.unique(np.concatenate([r, r_prime]), return_inverse=True)
-    x = np.where(x > 0.0, x, 1.0)  # radius 0 takes its limit at the end
     root = np.sqrt(x)
     i_scaled, k_scaled = ive(nu, kappa * x) / root, kve(nu, kappa * x) / root
     if eta == 0.0:
@@ -271,51 +279,84 @@ def free_sector_resolvent(sign, eta: float, ell: int, r, r_prime) -> np.ndarray:
     else:
         j_reg = jv(nu, eta * x) / root
         reg, out = 0.5j * np.pi * s * j_reg, j_reg + 1j * s * yv(nu, eta * x) / root
-    a, b = index[: r.size], index[r.size :]
     ra, rb = x[a], x[b]
-    lower = ra[:, None] <= rb[None, :]
-    oscillatory = np.where(lower, np.outer(reg[a], out[b]), np.outer(out[a], reg[b]))
-    decaying = np.where(lower, np.outer(i_scaled[a], k_scaled[b]), np.outer(k_scaled[a], i_scaled[b]))
-    kern = (oscillatory - decaying * np.exp(-kappa * np.abs(ra[:, None] - rb[None, :]))).astype(complex)
+    decaying = ordered(i_scaled, k_scaled) * np.exp(-kappa * np.abs(ra[:, None] - rb[None, :]))
+    kern = (ordered(reg, out) - decaying).astype(complex)
 
     near_a, near_b = kappa * ra <= _SERIES_RADIUS, kappa * rb <= _SERIES_RADIUS
     if near_a.any() and near_b.any():
-        # the odd part i k j_l j_l of F at k = i kappa, and at k = eta
-        i_reg = i_scaled * np.exp(kappa * x)
-        odd = (-1.0) ** ell * np.outer(i_reg[a][near_a], i_reg[b][near_b]).astype(complex)
+        # with F(k) = i k j_l(k r<) h_l(k r>), R0_l is the divided difference
+        # (F(eta) - F(i kappa)) / (eta^2 + kappa^2).  The part of F even in k,
+        # -k j_l y_l, is summed at kappa r with weights d_n = D_n / kappa^(2(n-1)),
+        # D_n = (x^n - y^n) / (x - y) for x = eta^2, y = -kappa^2, by D_(n+1) =
+        # (x + y) D_n - x y D_(n-1); the odd part i k j_l j_l is taken at i kappa and eta
+        d = np.zeros(2 * _SERIES_TERMS)
+        d[1] = 1.0
+        for n in range(1, d.size - 1):
+            d[n + 1] = (-d[n] + eta * eta * d[n - 1]) / (1.0 + eta * eta)
+        even = (1.0 + 2.0 * eta * eta) / kappa * _series_sum(d, ell, kappa * ra[near_a], kappa * rb[near_b])
+        rows, cols = a[near_a], b[near_b]
+        i_reg = i_scaled * np.exp(np.minimum(kappa * x, _SERIES_RADIUS))  # finite off the block
+        odd = (-1.0) ** ell * np.outer(i_reg[rows], i_reg[cols]).astype(complex)
         if eta > 0.0:
-            odd += 1j * s * np.outer(j_reg[a][near_a], j_reg[b][near_b])
-        even = _series_even_part(eta, ell, ra[near_a], rb[near_b])
+            odd += 1j * s * np.outer(j_reg[rows], j_reg[cols])
         kern[np.ix_(near_a, near_b)] = even + 0.5 * np.pi * odd
     kern /= 1.0 + 2.0 * eta * eta
-    at_zero = (r[:, None] == 0.0) | (r_prime[None, :] == 0.0)
-    if at_zero.any():
-        edge = FOUR_PI * free_resolvent(s, eta, np.maximum(r[:, None], r_prime[None, :]))
-        kern = np.where(at_zero, edge if ell == 0 else 0.0, kern)
-    if not np.all(np.isfinite(kern)):
-        raise ValueError("kernel produced non-finite samples on the separation range")
-    return kern
+    return _at_zero(kern, ell, r, r_prime, lambda sep: free_resolvent(s, eta, sep))
 
 
-def build_sector_operator(
-    kernel, ell: int, grid: RadialGrid, oscillation: float = 0.0
-) -> SectorOperator:
-    """Symmetrized Nystrom matrix of a radial kernel in one sector.
+def g2_sector_kernel(ell: int, r, r_prime) -> np.ndarray:
+    """Sector kernel of the static kernel G2 = -2 G0 + (e^{-s} - s)/(8 pi), in closed form.
+
+    With a = r<, b = r>, nu = l + 1/2: -2 G0 gives -2 Re R0_l(eta = 0);
+    e^{-s}/(8 pi), -(1/2) d/dkappa of e^{-kappa s}/(4 pi s) at kappa = 1,
+    gives -[2 nu I_nu(a) K_nu(b) + a I_nu+1(a) K_nu(b) - b I_nu(a) K_nu+1(b)]
+    / (2 sqrt(ab)); s/(8 pi) gives the biharmonic [a^(l+2) / ((2l+3) b^(l+1))
+    - a^l / ((2l-1) b^(l-1))] / (2 (2l+1)).  Where b <= _SERIES_RADIUS these
+    cancel, and the kernel is the eta^2 derivative at eta = 0 of the series
+    form of free_sector_resolvent, whose matrix layout and radius-0 limit it shares.
+    """
+    r, r_prime, x, a, b, ordered = _pairing(ell, r, r_prime)
+    nu = ell + 0.5
+    root = np.sqrt(x)
+    i0, k0 = ive(nu, x) / root, kve(nu, x) / root
+    i1, k1 = root * ive(nu + 1.0, x), root * kve(nu + 1.0, x)
+    ra, rb = x[a], x[b]
+    c = 2.0 * ell + 1.0
+    bessel = (2.0 - nu) * ordered(i0, k0) - 0.5 * ordered(i1, k0) + 0.5 * ordered(i0, k1)
+    kern = bessel * np.exp(-np.abs(ra[:, None] - rb[None, :]))
+    kern += ordered(x**ell, x ** (-ell - 1.0) * (x * x / (2.0 * c * (2 * ell - 1)) - 2.0 / c))
+    kern -= ordered(x ** (ell + 2.0), x ** (-ell - 1.0)) / (2.0 * c * (2 * ell + 3))
+
+    near_a, near_b = ra <= _SERIES_RADIUS, rb <= _SERIES_RADIUS
+    if near_a.any() and near_b.any():
+        rows, cols = a[near_a], b[near_b]
+        # d/d(eta^2) of D_n(eta^2, -1 - eta^2) at eta = 0, and of the odd
+        # part (pi/2) (-1)^l I_nu(kappa a) I_nu(kappa b) / (sqrt(ab) (1 + 2 eta^2));
+        # the clamp only keeps exp finite on radii the block never reads
+        n = np.arange(2 * _SERIES_TERMS)
+        d = np.where(n >= 2, (2.0 - n) * (-1.0) ** n, 0.0)
+        grow = np.exp(np.minimum(x, _SERIES_RADIUS))
+        u0, u1 = i0 * grow, i1 * grow
+        odd = 0.5 * (np.outer(u1[rows], u0[cols]) + np.outer(u0[rows], u1[cols]))
+        odd += (nu - 2.0) * np.outer(u0[rows], u0[cols])
+        series = _series_sum(d, ell, ra[near_a], rb[near_b])
+        kern[np.ix_(near_a, near_b)] = series + 0.5 * np.pi * (-1.0) ** ell * odd
+    return _at_zero(kern, ell, r, r_prime, lambda sep: expansion_G(2, sep))
+
+
+def build_sector_operator(kernel, ell: int, grid: RadialGrid, oscillation: float = 0.0) -> SectorOperator:
+    """Symmetrized Nystrom matrix of a radial kernel in one sector, by legendre_project.
 
     oscillation hints the kernel's phase rate in the separation variable
     (eta for the limiting resolvents) so enough mu-nodes are used.
     """
     n_mu = _n_mu_default(ell, oscillation * 2.0 * grid.r_max)
-    r = grid.nodes
-    n = grid.count
-    iu, ju = np.triu_indices(n)
-    proj = _pair_projection(kernel, ell, r[iu], r[ju], n_mu)
-    sw = np.sqrt(grid.weights)
-    scale_i = sw[iu] * r[iu]
-    scale_j = sw[ju] * r[ju]
-    mat = np.zeros((n, n), dtype=proj.dtype)
-    mat[iu, ju] = scale_i * proj * scale_j
-    mat[ju, iu] = mat[iu, ju]
+    iu, ju = np.triu_indices(grid.count)
+    scale = np.sqrt(grid.weights) * grid.nodes
+    upper = scale[iu] * legendre_project(kernel, ell, grid.nodes[iu], grid.nodes[ju], n_mu) * scale[ju]
+    mat = np.zeros((grid.count, grid.count), dtype=upper.dtype)
+    mat[iu, ju] = mat[ju, iu] = upper
     return SectorOperator(ell=ell, grid=grid, matrix=mat)
 
 

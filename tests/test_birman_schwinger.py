@@ -21,7 +21,7 @@ from fourthorder.birman_schwinger import (
     make_potential,
     resonance_tune,
 )
-from fourthorder.birman_schwinger import _resonance_block
+from fourthorder.birman_schwinger import _g2_sandwich, _resonance_block
 from fourthorder.decayfit import fit_decay
 from fourthorder.errors import (
     BracketError,
@@ -109,6 +109,17 @@ class TestOperatorAssembly:
             for ell in (0, 2):
                 assert np.all(np.isfinite(build_M(PLUS, eta, pot, grid, ell).matrix))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_series_block_beside_far_radii(self):
+        # at 200 nodes the same grid also has radii inside the series
+        # block; its unscaled i_l must not overflow on the far radii
+        pot = make_potential("polynomial", -1.0, beta=4.0)
+        grid = build_grid(200, beta=4.0)
+        assert grid.nodes[0] < 2.0 and grid.r_max > 9e3
+        for eta in (0.0, 0.7):
+            assert np.all(np.isfinite(build_M(PLUS, eta, pot, grid, 0).matrix))
+        assert np.all(np.isfinite(_g2_sandwich(pot, grid, 0)))
+
     def test_negative_eta_rejected(self, grid64, subcritical_potential):
         with pytest.raises(ValueError, match="nonnegative"):
             build_M(PLUS, -0.1, subcritical_potential, grid64)
@@ -171,6 +182,10 @@ class TestClassify:
     def test_tol_validation(self, grid64, subcritical_potential):
         with pytest.raises(ValueError, match="tol"):
             classify(subcritical_potential, grid64, tol=2.0)
+
+    def test_negative_ell_max_rejected(self, grid64, subcritical_potential):
+        with pytest.raises(ValueError, match="ell_max"):
+            classify(subcritical_potential, grid64, ell_max=-1)
 
 
 class TestResonanceTune:

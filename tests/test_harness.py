@@ -87,6 +87,13 @@ class TestParsing:
                 PERTURBED + "evolution.subtract = none\nexpect.subtracted_exponent = -1.5\n",
                 "needs evolution.subtract",
             ),
+            (CLASSIFY_ZERO + "grid.ell_max = -1\n", "grid.ell_max must be >= 0"),
+            (PERTURBED + "grid.ell_max = -1\n", "grid.ell_max must be >= 0"),
+            (
+                "experiment.name = resonance-tune\npotential.profile = gaussian\n"
+                "bracket.lo = 3.0\nbracket.hi = 6.0\ntune.sector = -1\n",
+                "tune.sector must be >= 0",
+            ),
         ],
     )
     def test_rejects(self, text, fragment):
@@ -220,6 +227,19 @@ class TestCli:
         assert code == 2
         assert err["error"]["type"] == "ConfigError"
         assert "not a key" in err["error"]["message"]
+
+    def test_exit_two_on_negative_ell_max(self, tmp_path, capsys):
+        # at the tuned n=32 resonance this config used to pass as "regular"
+        path = tmp_path / "negative.cfg"
+        path.write_text(
+            "experiment.name = classify\npotential.profile = gaussian\n"
+            "potential.coupling = -4.2604358\ngrid.count = 32\ngrid.ell_max = -1\n"
+        )
+        code = main(["classify", "--config", str(path), "--out", str(tmp_path / "r")])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"]["type"] == "ConfigError"
+        assert "grid.ell_max" in err["error"]["message"]
 
     def test_exit_two_on_subcommand_mismatch(self, classify_cfg, tmp_path, capsys):
         code = main(

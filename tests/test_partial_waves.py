@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,6 +11,7 @@ from fourthorder.partial_waves import (
     build_sector_operator,
     default_r_max,
     free_sector_resolvent,
+    g2_sector_kernel,
     legendre_project,
     resum_sectors,
 )
@@ -111,6 +114,21 @@ class TestLegendreProject:
             else:
                 assert abs(got) < 1e-10
 
+    def test_vectorised_over_radius_arrays(self):
+        # broadcast pairs agree with one call per pair to rounding (the sums
+        # run through different BLAS calls), the r = 0 limit included
+        r = np.array([0.0, 0.3, 1.2, 2.0])
+        rp = np.array([[1.5], [2.0], [0.0]])
+        g2 = lambda s: expansion_G(2, s)
+        for ell in (0, 2):
+            got = legendre_project(g2, ell, r, rp)
+            assert got.shape == (3, 4)
+            for i, j in np.ndindex(got.shape):
+                want = legendre_project(g2, ell, r[j], rp[i, 0])
+                assert got[i, j] == pytest.approx(want, rel=1e-12, abs=1e-300)
+        assert legendre_project(g2, 0, 0.0, 1.5) == pytest.approx(4.0 * np.pi * g2(1.5), rel=1e-15)
+        assert legendre_project(g2, 1, 0.0, 0.0) == 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             legendre_project(newton, -1, 1.0, 2.0)
@@ -170,6 +188,73 @@ class TestFreeSectorResolvent:
             free_sector_resolvent(PLUS, 0.5, -1, grid64.nodes, grid64.nodes)
         with pytest.raises(ValueError, match="radii"):
             free_sector_resolvent(PLUS, 0.5, 0, [-1.0], grid64.nodes)
+
+
+def _g2_reference(mp, ell, r, rp):
+    """G2_l(r, r') by 40-digit quadrature in the separation s, where the integrand is smooth."""
+    def integrand(s):
+        g2 = (mp.exp(-s) - s) / (8 * mp.pi) + mp.expm1(-s) / (2 * mp.pi * s)
+        return g2 * mp.legendre(ell, (r * r + rp * rp - s * s) / (2 * r * rp)) * s
+
+    with mp.workdps(40):
+        r, rp = mp.mpf(r), mp.mpf(rp)
+        return float(2 * mp.pi * mp.quad(integrand, [abs(r - rp), r + rp]) / (r * rp))
+
+
+class TestG2SectorKernel:
+    g2 = staticmethod(lambda s: expansion_G(2, s))
+
+    @pytest.mark.parametrize("count", [16, 32, 64])
+    def test_matches_projection_oracle(self, count):
+        # full Nystrom matrices sqrt(w) r K r' sqrt(w'), for the reason
+        # given in TestFreeSectorResolvent
+        grid = build_grid(count, r_max=9.0)
+        nodes = grid.nodes
+        weights = np.outer(np.sqrt(grid.weights) * nodes, np.sqrt(grid.weights) * nodes)
+        for ell in (0, 1, 2):
+            got = g2_sector_kernel(ell, nodes, nodes)
+            want = legendre_project(self.g2, ell, nodes[:, None], nodes[None, :], n_mu=80)
+            err = np.max(np.abs(weights * (got - want)))
+            assert err <= 1e-12 * np.max(np.abs(weights * want)), ell
+
+    def test_matches_mpmath(self):
+        # entrywise, at the smallest n=64 nodes, on both sides of the series
+        # switch at r> = 2 and at the far end.  For l = 5 just past the
+        # switch the far form sums terms of size 1/((2l+1) r>) to a kernel
+        # ~2e3 times smaller (2.4e-12 relative at r> = 2.11), so that side
+        # has its own bound
+        mp = pytest.importorskip("mpmath")
+        nodes = build_grid(64, r_max=9.0).nodes
+        k = int(np.searchsorted(nodes, 2.0))
+        rows, cols = [0, 1, 2, k - 1, k], [0, 1, 2, k - 1, k, nodes.size - 1]
+        for ell in (0, 1, 2, 5):
+            got = g2_sector_kernel(ell, nodes[rows], nodes[cols])
+            for (i, a), (j, b) in itertools.product(enumerate(nodes[rows]), enumerate(nodes[cols])):
+                want = _g2_reference(mp, ell, a, b)
+                bound = 5e-12 if ell == 5 and 2.0 < max(a, b) < 3.0 else 1e-13
+                assert abs(got[i, j] - want) <= bound * abs(want), (ell, a, b)
+
+    def test_small_radii_do_not_cancel(self):
+        # where r> << 1 the far form sums terms of size 1/((2l+1) r>) to a
+        # kernel of size r>^(2l+1): at r = r' = 3e-3 it is off by 7e-7
+        # relative for l = 1 and by 6e5 for l = 5.  The quadrature oracle
+        # holds 4e-9 there at l = 1 but loses every digit for l >= 2
+        want = legendre_project(self.g2, 1, 3e-3, 3e-3, n_mu=64)
+        assert abs(g2_sector_kernel(1, 3e-3, 3e-3)[0, 0] - want) <= 5e-8 * abs(want)
+        mp = pytest.importorskip("mpmath")
+        for r in (1e-3, 3e-3):
+            for ell in range(6):
+                want = _g2_reference(mp, ell, r, r)
+                assert abs(g2_sector_kernel(ell, r, r)[0, 0] - want) <= 1e-13 * abs(want), (r, ell)
+
+    def test_radius_zero_and_validation(self, grid64):
+        row = g2_sector_kernel(0, 0.0, grid64.nodes)[0]
+        assert np.allclose(row, 4.0 * np.pi * self.g2(grid64.nodes), rtol=1e-15, atol=0.0)
+        assert np.all(g2_sector_kernel(1, grid64.nodes, 0.0) == 0.0)
+        with pytest.raises(ValueError, match="sector"):
+            g2_sector_kernel(-1, grid64.nodes, grid64.nodes)
+        with pytest.raises(ValueError, match="radii"):
+            g2_sector_kernel(0, [-1.0], grid64.nodes)
 
 
 class TestSectorOperator:
