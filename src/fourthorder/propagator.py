@@ -1,8 +1,12 @@
 """Time evolution and resolvent synthesis for the perturbed operator.
 
 The evolution kernel is the Stone integral of the boundary difference of
-perturbed resolvents.  The free part has a closed-form integrand and a
-certified improper tail.  The potential's correction enters through
+perturbed resolvents.  The free part has an entire closed-form
+integrand: for |t| > 1 a fixed Gauss rule on a rotated ray integrates it
+at a cost independent of t (contour rotation, Huybrechs & Vandewalle,
+SIAM J. Numer. Anal. 44, 2006), and for |t| <= 1, or where the ray's own
+estimate misses the tolerance, real-axis panels with a certified
+improper tail do.  The potential's correction enters through
 per-sector sandwiches (R0 v) M^{-1} (v R0).  Both R0 v rows and the R0
 block of M come from the closed-form sector kernel
 R0_l(r, r') = [i eta j_l(eta r<) h_l(eta r>) - (2/pi) kappa i_l(kappa r<)
@@ -21,7 +25,7 @@ correction truncated at eta = t^{-1/2} leaves a Fresnel-sized t^{-1/2}
 residue from the pole's tail beyond the cut.  build_threshold_data derives
 the zero-energy pole blocks once; F_kernel and G_kernel sandwich them as
 separable finite-rank operators times the full-range Stone weight
-integral (a fixed Gauss rule on a rotated ray, O(1) in t), and the cache
+integral (on the same rotated ray as the free kernel), and the cache
 reads its pole coefficient from the same blocks, so the evolution's
 subtract="auto" mode performs the equivalent subtraction.  G additionally carries the second-kernel boundary-difference
 display, which is itself of t^{-3/2} size.
@@ -141,18 +145,95 @@ def _sandwich_rows(eta: float, ell: int, radii, potential: Potential, grid: Radi
     return rows * (np.sqrt(grid.weights) * grid.nodes * potential.half(grid.nodes))[None, :]
 
 
+# the rotated ray eta = e^{-i pi/8} y / sqrt(t): the quartic phase turns
+# into the decay e^{-y^4/t - y^2/sqrt2}, below 1e-24 past y = 9, so a
+# fixed Gauss rule on [0, 9] converges for t > 1
+_RAY_ROTATION = np.exp(-1j * np.pi / 8.0)
+_RAY_Y_MAX = 9.0
+_RAY_ORDERS = (96, 128)
+
+
+def _ray_integral(t: float, amplitude, frequency: float = 0.0) -> QuadResult:
+    """int_0^inf amplitude(eta) e^{-it(eta^4 + eta^2)} d eta for |t| > 1, on the rotated ray.
+
+    amplitude must be entire, vectorised over complex eta, real on the
+    real axis and bounded by a quadratic in |eta| times e^{frequency
+    |Im eta|}, as eta sin(eta s) / s is for s <= frequency.  The
+    integrand then decays in the sector between the real axis and the
+    ray, so the ray gives the same integral, and the value at -t is the
+    conjugate of the one at t.  The error adds three parts: the
+    difference of the two rule orders; rounding, eps * sum w |f| with
+    each term weighted by the size of its exponents, since the amplitude
+    may grow along the ray and its terms cancel; and the truncation at
+    y = 9, the endpoint integrand over its log-slope there.
+    """
+    if not abs(t) > 1.0:
+        raise ValueError("the rotated ray needs |t| > 1")
+    if t < 0.0:
+        mirror = _ray_integral(-t, amplitude, frequency)
+        return QuadResult(value=mirror.value.conjugate(), error=mirror.error, panels=0)
+    root, w2 = math.sqrt(t), _RAY_ROTATION**2
+
+    def integrand(y):
+        # d eta = e^{-i pi/8} dy / sqrt(t)
+        decay = np.exp(-(y**4) / t - 1j * w2 * y**2)
+        return amplitude(_RAY_ROTATION * y / root) * decay * (_RAY_ROTATION / root)
+
+    half = 0.5 * _RAY_Y_MAX
+    values = []
+    # e^{+-i eta s} overflows on the ray once s |eta| sin(pi/8) passes ~710;
+    # such a sum has no estimate to trust and reports an infinite error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for order in _RAY_ORDERS:
+            x, w = _gauss_rule(order)
+            y = half * (x + 1.0)
+            f = integrand(y)
+            values.append(half * (w @ f))
+        exponents = 1.0 + y**2 + y**4 / t + frequency * y / root
+        rounding = np.finfo(float).eps * half * (w @ (np.abs(f) * exponents))
+        # log-slope of the decay less that of the amplitude, e^{s |eta| sin(pi/8)} |eta|^2
+        y_max = _RAY_Y_MAX
+        slope = 4.0 * y_max**3 / t + math.sqrt(2.0) * y_max
+        slope -= frequency * math.sin(math.pi / 8.0) / root + 2.0 / y_max
+        truncation = abs(integrand(np.array([y_max]))[0]) / slope if slope > 0.0 else math.inf
+        error = abs(values[-1] - values[0]) + rounding + truncation
+    if not math.isfinite(error):
+        error = math.inf
+    return QuadResult(value=complex(values[-1]), error=float(error), panels=0)
+
+
 def _free_kernel_result(t: float, separation: float, tol: float) -> QuadResult:
+    """Free kernel with its error: the rotated ray for |t| > 1, else panels.
+
+    For |t| > 1 the ray of _ray_integral is taken when its own estimate
+    meets tol; otherwise, and for |t| <= 1, the real-axis panels of
+    improper_tail with the certified tail run instead.
+    """
     if not (t != 0.0 and np.isfinite(t)):
         raise ValueError("time must be finite and nonzero")
     if separation < 0.0:
         raise ValueError("separation must be nonnegative")
+    if abs(t) > 1.0:
+        # (4 eta^3 + 2 eta) / (1 + 2 eta^2) = 2 eta turns the Stone integrand
+        # into eta sin(eta s) / (2 pi^2 s), entire in eta
+        amplitude = lambda eta: eta**2 * np.sinc(eta * separation / np.pi) / (2.0 * np.pi**2)
+        ray = _ray_integral(t, amplitude, frequency=separation)
+        if ray.error <= tol * (1.0 + abs(ray.value)):
+            return ray
     f = lambda eta: _STONE_PREFACTOR * free_resolvent_diff(eta, separation)
     # |R0+ - R0-| <= 1/(2 pi (1+2 eta^2)) * eta <= eta^{-1}/(4 pi^2): decays like 1/eta
     return improper_tail(f, t, 0.0, tol=tol, min_eta=2.0 * separation)
 
 
 def free_kernel(t: float, separation: float, tol: float = 1e-9) -> complex:
-    """Evolution kernel of the unperturbed operator at separation |x - y|."""
+    """Evolution kernel of the unperturbed operator at separation |x - y|.
+
+    For |t| > 1 it is a fixed Gauss rule on a rotated ray, at a cost
+    independent of t, whenever that rule's estimate meets tol; for
+    |t| <= 1, or where the ray cancels too badly (separation large
+    against t), it falls back to real-axis panels, which raise
+    ConvergenceError when they cannot meet tol either.
+    """
     return _free_kernel_result(t, separation, tol).value
 
 
@@ -172,6 +253,8 @@ def perturbed_resolvent(
     """
     if eta < 0.0:
         raise ValueError("eta must be nonnegative")
+    if ell_max < 0:
+        raise ValueError(f"ell_max must be >= 0, got {ell_max}")
     sign = PLUS if _sign_factor(sign) > 0.0 else MINUS
     s1 = {} if classification is None else classification.s1_basis
     sands = []
@@ -240,29 +323,9 @@ def build_threshold_data(potential: Potential, grid: RadialGrid, classification)
     )
 
 
-# Stone weight of the pole on the rotated ray eta = e^{-i pi/8} y / sqrt(t):
-# the quartic phase turns into the decay e^{-y^4/t - y^2/sqrt2}, below
-# 1e-24 past y = 9, so a fixed Gauss rule on [0, 9] converges for t > 1
-_FRESNEL_ROTATION = np.exp(-1j * np.pi / 8.0)
-_FRESNEL_Y_MAX = 9.0
-_FRESNEL_ORDERS = (96, 128)
-
-
 def _fresnel_weight(t: float) -> QuadResult:
-    """Full-range Stone weight of a first-order pole, int_0^inf (4 eta^2 + 2) e^{-it lambda}.
-
-    The integrand is entire and decays in the sector between the real
-    axis and the ray, so the integral equals the one along the ray;
-    the error is the difference of two rule orders.
-    """
-    w2 = _FRESNEL_ROTATION**2
-    values = []
-    for order in _FRESNEL_ORDERS:
-        x, w = _gauss_rule(order)
-        y = 0.5 * _FRESNEL_Y_MAX * (x + 1.0)
-        body = (4.0 * w2 * y**2 / t + 2.0) * np.exp(-(y**4) / t - 1j * w2 * y**2)
-        values.append(0.5 * _FRESNEL_Y_MAX * _FRESNEL_ROTATION / math.sqrt(t) * (w @ body))
-    return QuadResult(value=complex(values[-1]), error=abs(values[-1] - values[0]), panels=0)
+    """Full-range Stone weight of a first-order pole, int_0^inf (4 eta^2 + 2) e^{-it lambda}."""
+    return _ray_integral(t, lambda eta: 4.0 * eta**2 + 2.0)
 
 
 def _pole_sandwich(geometry: Geometry, data: ThresholdData, blocks: dict) -> complex:
@@ -356,6 +419,8 @@ class CorrectionCache:
         ell_max: int = ELL_MAX_CLASSIFY,
         eta_top: float = DEFAULT_CACHE_ETA_TOP,
     ):
+        if ell_max < 0:
+            raise ValueError(f"ell_max must be >= 0, got {ell_max}")
         self.potential = potential
         self.grid = grid
         self.classification = classification
@@ -553,6 +618,8 @@ def weighted_norm(
     classification=None,
 ) -> float:
     """Discretized B(s, -s') resolvent norm, maximized over sectors."""
+    if ell_max < 0:
+        raise ValueError(f"ell_max must be >= 0, got {ell_max}")
     if variable == "lambda":
         eta = eta_of_lambda(energy)
     elif variable == "eta":

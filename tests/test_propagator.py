@@ -10,8 +10,10 @@ from fourthorder.birman_schwinger import (
     jn_invert,
     leading_coefficients,
     make_potential,
+    resonance_tune,
 )
 from fourthorder.decayfit import fit_decay
+from fourthorder.errors import ConvergenceError, TruncationError
 from fourthorder.kernels import FOUR_PI, MINUS, PLUS, free_resolvent
 from fourthorder.oscillatory import IntegrationPlan, _integrate, stone_integral
 from fourthorder.partial_waves import build_grid, build_sector_operator, legendre_project
@@ -26,7 +28,16 @@ from fourthorder.propagator import (
     weighted_norm,
     weighted_operator,
 )
-from fourthorder.propagator import _fresnel_weight, _pole_sandwich, _pole_tail, _sandwich_rows
+from fourthorder.propagator import (
+    _free_kernel_result,
+    _fresnel_weight,
+    _pole_sandwich,
+    _pole_tail,
+    _ray_integral,
+    _sandwich_rows,
+)
+
+from conftest import attractive_gaussian
 
 STONE_PREFACTOR = 1.0 / (2.0j * math.pi)
 
@@ -35,7 +46,9 @@ def rotated_quadrature(f, t, theta=math.pi / 16.0):
     """Independent oracle: scipy quadrature on the ray eta = e^{-i theta} s.
 
     The quartic phase damps the rotated integrand, so an ordinary adaptive
-    rule converges; integrands must accept complex eta.
+    rule converges; integrands must accept complex eta.  Against mpmath
+    it drifts to 9.5e-8 relative for the free kernel at t = 1e4 (5e-12 at
+    t = 1e3), so late-time checks use mpmath_free_kernel instead.
     """
     rot = np.exp(-1j * theta)
 
@@ -47,6 +60,32 @@ def rotated_quadrature(f, t, theta=math.pi / 16.0):
     re = quad(lambda s: g(s, 0), 0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)[0]
     im = quad(lambda s: g(s, 1), 0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)[0]
     return re + 1j * im
+
+
+def mpmath_free_kernel(mp, t, s):
+    """30-digit free kernel (1/(2 pi^2 s)) int_0^inf eta sin(eta s) e^{-it(eta^4+eta^2)} d eta.
+
+    Tanh-sinh quadrature on the ray eta = e^{-i pi/12} r, a shallower ray
+    than the program's, in pieces of ratio 1.5 from r = t^(-1/2) to where
+    the integrand has fallen below e^(-150).
+    """
+    with mp.workdps(30):
+        t, s = mp.mpf(t), mp.mpf(s)
+        theta = mp.pi / 12
+        rot = mp.exp(-1j * theta)
+
+        def f(r):
+            eta = rot * r
+            amp = eta * eta if s == 0 else eta * mp.sin(eta * s) / s
+            return amp * mp.exp(-1j * t * (eta**4 + eta**2)) * rot
+
+        def log_decay(r):
+            return t * r**4 * mp.sin(4 * theta) + t * r**2 * mp.sin(2 * theta) - s * r * mp.sin(theta)
+
+        points = [mp.mpf(0), 1 / mp.sqrt(t)]
+        while log_decay(points[-1]) < 150:
+            points.append(1.5 * points[-1])
+        return complex(mp.quad(f, points) / (2 * mp.pi**2))
 
 
 def boundary_diff_times_jacobian(eta, r):
@@ -83,6 +122,61 @@ class TestFreeKernel:
             free_kernel(1.0, -0.5)
         with pytest.raises(ValueError):
             free_kernel(0.0, 1.0)
+
+    def test_rotated_ray_against_mpmath(self):
+        # t > 1 takes the rotated ray where its estimate meets tol and the
+        # panels otherwise; whichever runs, its estimate must bound the error
+        mp = pytest.importorskip("mpmath")
+        for t in (1.01, 1.5, 10.0, 1e2, 1e3, 1e4, 1e5):
+            for s in (0.0, 0.3, 3.0, 12.0, 20.0, 40.0):
+                if (t, s) == (1.01, 40.0):
+                    # sin(eta s) cancels to 0.8 relative on the ray, and the
+                    # panel cut eta >= 80 spans 6.6e6 periods: neither path
+                    # may return a value
+                    with pytest.raises(ConvergenceError):
+                        _free_kernel_result(t, s, 1e-9)
+                    continue
+                try:
+                    got = _free_kernel_result(t, s, 1e-9)
+                except ConvergenceError:
+                    # the ray missed tol and the panel cut 2 s exceeds its budget
+                    assert t < 2.0 and s == 40.0, (t, s)
+                    continue
+                want = mpmath_free_kernel(mp, t, s)
+                assert abs(got.value - want) <= got.error, (t, s)
+                if t >= 10.0:
+                    assert got.panels == 0 and got.error <= 1e-11 * abs(want), (t, s)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_ray_falls_back_quietly(self):
+        # sin(eta s) overflows on the ray past s |eta| sin(pi/8) ~ 710: the
+        # ray reports an infinite error, and the panel tail, whose cut
+        # 2 s lies beyond its limit eta = 512, raises without a warning
+        ray = _ray_integral(2.0, lambda eta: eta**2 * np.sinc(eta * 300.0 / np.pi), frequency=300.0)
+        assert ray.error == math.inf
+        with pytest.raises(TruncationError):
+            free_kernel(2.0, 300.0)
+
+    def test_fallback_to_panels(self):
+        # at t = 1.01, s = 22 the ray's rounding estimate (1.7e-9) misses
+        # tol, so real-axis panels with their certified tail take over
+        mp = pytest.importorskip("mpmath")
+        got = _free_kernel_result(1.01, 22.0, 1e-9)
+        assert got.panels > 0
+        assert abs(got.value - mpmath_free_kernel(mp, 1.01, 22.0)) <= got.error <= 1e-9
+
+    def test_late_time_large_separation(self):
+        # beyond the panels' reach: their cut eta >= 2 s spans more periods
+        # than the panel budget
+        mp = pytest.importorskip("mpmath")
+        want = mpmath_free_kernel(mp, 1e3, 5.0)
+        assert free_kernel(1e3, 5.0, tol=1e-9) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_negative_time_is_the_conjugate(self):
+        # panels for |t| <= 1, the ray beyond
+        for t, s in ((0.5, 1.3), (50.0, 0.0), (50.0, 1.3)):
+            got = free_kernel(-t, s)
+            assert got == pytest.approx(free_kernel(t, s).conjugate(), rel=1e-12, abs=1e-15)
 
 
 class TestSectorRow:
@@ -124,6 +218,10 @@ class TestPerturbedResolvent:
         plus = perturbed_resolvent(PLUS, 0.8, g, subcritical_potential, grid64)
         minus = perturbed_resolvent(MINUS, 0.8, g, subcritical_potential, grid64)
         assert minus == pytest.approx(np.conj(plus), rel=1e-13)
+
+    def test_negative_ell_max_rejected(self, grid64, subcritical_potential):
+        with pytest.raises(ValueError, match="ell_max"):
+            perturbed_resolvent(PLUS, 0.7, Geometry(1.0, 0.5, 0.2), subcritical_potential, grid64, ell_max=-1)
 
     def test_sign_aliases(self):
         grid = build_grid(32, 9.0)
@@ -280,6 +378,26 @@ class TestEvolution:
         far = evolution_kernel(15.0, g, resonance_cache, eta_cut=4.0)
         assert abs(near.value - far.value) <= near.est_error + far.est_error
 
+    def test_late_time_on_a_coarse_grid(self):
+        # t = 1e4 at separation 2.5 on the n=32 resonance well: on (0, 5)
+        # the free part needs more real-axis panels than the budget allows
+        grid = build_grid(32, r_max=9.0)
+        tuned = resonance_tune(attractive_gaussian, 0, grid, (3.0, 6.0))
+        well = attractive_gaussian(tuned.coupling)
+        geometry = Geometry(1.5, 2.5, 0.3)
+        cache = CorrectionCache(well, grid, classify(well, grid), [geometry], eta_top=3.0)
+        raw = evolution_kernel(1e4, geometry, cache, subtract="none")
+        sub = evolution_kernel(1e4, geometry, cache)
+        assert sub.correction_subtracted == "F"
+        assert np.isfinite(sub.value) and sub.est_error < abs(sub.value)
+        assert abs(raw.value - (sub.value + sub.correction)) < raw.est_error + sub.est_error
+
+    def test_negative_ell_max_rejected(self, grid64, subcritical_potential, subcritical_classification):
+        with pytest.raises(ValueError, match="ell_max"):
+            CorrectionCache(
+                subcritical_potential, grid64, subcritical_classification, [Geometry(1.0, 0.5, 0.2)], ell_max=-1
+            )
+
     def test_validation(self, geometries, resonance_cache):
         with pytest.raises(ValueError):
             evolution_kernel(0.0, geometries[0], resonance_cache)
@@ -375,6 +493,11 @@ class TestWeightedNorm:
     def test_weight_validation(self, grid64):
         with pytest.raises(ValueError):
             weighted_norm(PLUS, 100.0, None, grid64, s=0.4, variable="lambda")
+
+    def test_negative_ell_max_rejected(self, grid64):
+        # an empty sector range would give a norm of 0.0
+        with pytest.raises(ValueError, match="ell_max"):
+            weighted_norm(PLUS, 100.0, None, grid64, ell_max=-1, variable="lambda")
 
     def test_operator_is_the_resolvent_identity(self, grid64, subcritical_potential):
         # R_V = R0 - R0 v M^{-1} v R0 with M from build_M, weighted both sides
