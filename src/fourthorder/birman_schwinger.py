@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_solve
 
 from .errors import (
     BracketError,
@@ -119,15 +118,15 @@ def _g2_sandwich(potential: Potential, grid: RadialGrid, ell: int) -> np.ndarray
     return scale[:, None] * g2_sector_kernel(ell, grid.nodes, grid.nodes) * scale[None, :]
 
 
-def _free_sector_matrix(sign, eta: float, grid: RadialGrid, ell: int) -> np.ndarray:
-    """The closed-form sector matrix of R0 in the symmetrized convention."""
+def _free_sector_matrix(sign, eta, grid: RadialGrid, ell: int) -> np.ndarray:
+    """The closed-form sector matrix of R0 in the symmetrized convention, stacked over an eta array."""
     scale = np.sqrt(grid.weights) * grid.nodes
     kern = free_sector_resolvent(sign, eta, ell, grid.nodes, grid.nodes)
     return scale[:, None] * kern * scale[None, :]
 
 
 def _m_from_r0(r0: np.ndarray, potential: Potential, grid: RadialGrid, ell: int) -> SectorOperator:
-    """M = U + v R0 v from an assembled sector matrix of R0."""
+    """M = U + v R0 v from an assembled sector matrix of R0, or from a stack of them."""
     _check_inputs(potential, grid)
     v = potential.half(grid.nodes)
     body = v[:, None] * r0 * v[None, :]
@@ -135,9 +134,9 @@ def _m_from_r0(r0: np.ndarray, potential: Potential, grid: RadialGrid, ell: int)
     return SectorOperator(ell=ell, grid=grid, matrix=mat)
 
 
-def build_M(sign, eta: float, potential: Potential, grid: RadialGrid, ell: int = 0) -> SectorOperator:
-    """M(eta) = U + v R0(eta) v in one sector (T0 at eta = 0)."""
-    if eta < 0.0:
+def build_M(sign, eta, potential: Potential, grid: RadialGrid, ell: int = 0) -> SectorOperator:
+    """M(eta) = U + v R0(eta) v in one sector (T0 at eta = 0); a 1-D eta array gives a stack."""
+    if np.any(np.asarray(eta) < 0.0):
         raise ValueError("eta must be nonnegative")
     return _m_from_r0(_free_sector_matrix(sign, eta, grid, ell), potential, grid, ell)
 
@@ -275,43 +274,43 @@ def _as_matrix(op):
     return op.matrix if isinstance(op, SectorOperator) else np.asarray(op)
 
 
-def _guarded_lu(matrix: np.ndarray, factor: str):
-    """LU factors of matrix, or SingularFactorError past cond COND_LIMIT.
+def _guarded_inverse(matrix: np.ndarray, factor: str) -> np.ndarray:
+    """Inverse of a matrix or of each one in a stack, or SingularFactorError past cond COND_LIMIT.
 
-    The condition number is LAPACK's xGECON 1-norm estimate from the same
-    factors.  getrf is called directly because lu_factor only warns when
-    a pivot is exactly zero.
+    The condition number is the exact 1-norm one, ||A||_1 ||A^{-1}||_1,
+    from the inverse itself, worst over the stack; an exactly singular
+    member, which np.linalg.inv refuses, counts as infinite.
     """
-    getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (matrix,))
-    lu, piv, info = getrf(matrix)
-    rcond = 0.0
-    if info == 0:
-        rcond, _ = gecon(lu, np.linalg.norm(matrix, 1))
-    cond = 1.0 / rcond if rcond > 0.0 else np.inf
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularFactorError(factor, cond)
-    return lu, piv
-
-
-def _lu_inverse(factors) -> np.ndarray:
-    lu = factors[0]
-    return lu_solve(factors, np.eye(lu.shape[0], dtype=lu.dtype), check_finite=False)
+    try:
+        inv = np.linalg.inv(matrix)
+    except np.linalg.LinAlgError:
+        raise SingularFactorError(factor, np.inf) from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = np.linalg.norm(matrix, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
+    worst = float(np.max(np.where(np.isnan(cond), np.inf, cond)))
+    if not np.isfinite(worst) or worst > COND_LIMIT:
+        raise SingularFactorError(factor, worst)
+    # column-major per matrix, the layout of a LAPACK solve's output: the
+    # products downstream round by layout, and this one keeps them equal
+    # to those on an inverse from scipy.linalg.lu_solve
+    return np.swapaxes(np.ascontiguousarray(np.swapaxes(inv, -1, -2)), -1, -2)
 
 
 def jn_invert(M, S):
-    """Invert M through the projection-split identity.
+    """Invert M, or each matrix of a (K, n, n) stack, through the projection-split identity.
 
     With S a finite-rank orthogonal projection commuting with nothing in
     particular, M is invertible iff M + S is and M1 = S - S(M+S)^{-1}S is
     on range(S); then M^{-1} = (M+S)^{-1} + (M+S)^{-1} S M1^{-1} S (M+S)^{-1}.
-    A zero S gives the plain inverse.  Each factor is LU-factored once;
-    the factors give both the inverse and the condition estimate, and
+    A zero S gives the plain inverse.  One n x n projection serves the
+    whole stack and is checked once.  Each factor is inverted as a stack,
+    and the exact 1-norm condition of every member is guarded:
     SingularFactorError names "M + S", or "M" for a zero S, or "M1" past
     cond 1e12, prefixed with the sector when M is a SectorOperator.
     """
     mat = _as_matrix(M)
     s = _as_matrix(S)
-    if s.shape != mat.shape:
+    if mat.ndim not in (2, 3) or s.shape != mat.shape[-2:]:
         raise ValueError("projection shape does not match the operator")
     split = np.linalg.norm(s) > 0.0
     if split:
@@ -319,7 +318,7 @@ def jn_invert(M, S):
             raise ValueError("S must be an orthogonal projection")
     where = f"sector {M.ell} " if isinstance(M, SectorOperator) else ""
     mps = mat + s.astype(mat.dtype, copy=False)
-    mps_inv = _lu_inverse(_guarded_lu(mps, where + ("M + S" if split else "M")))
+    mps_inv = _guarded_inverse(mps, where + ("M + S" if split else "M"))
     rank = int(round(np.real(np.trace(s))))
     if rank == 0:
         inv = mps_inv
@@ -327,7 +326,7 @@ def jn_invert(M, S):
         sv, svecs = np.linalg.eigh((s + s.conj().T) / 2.0)
         q = svecs[:, sv > 0.5]
         m1 = np.eye(q.shape[1], dtype=mps_inv.dtype) - q.conj().T @ mps_inv @ q
-        m1_inv = _lu_inverse(_guarded_lu(m1, where + "M1"))
+        m1_inv = _guarded_inverse(m1, where + "M1")
         inv = mps_inv + mps_inv @ (q @ m1_inv @ q.conj().T) @ mps_inv
     if isinstance(M, SectorOperator):
         return SectorOperator(ell=M.ell, grid=M.grid, matrix=inv)
@@ -442,11 +441,10 @@ def leading_coefficients(
         fit_etas = np.logspace(-3, -2, 8)
     fit_etas = np.asarray(fit_etas, dtype=float)
     s1 = _projection(classification.s1_basis.get(ell), n)
-    samples = {PLUS: [], MINUS: []}
-    for eta in fit_etas:
-        for sign in (PLUS, MINUS):
-            m = build_M(sign, float(eta), potential, grid, ell)
-            samples[sign].append(eta**2 * jn_invert(m, s1).matrix)
+    samples = {
+        sign: fit_etas[:, None, None] ** 2 * jn_invert(build_M(sign, fit_etas, potential, grid, ell), s1).matrix
+        for sign in (PLUS, MINUS)
+    }
 
     design = np.vander(fit_etas, 4, increasing=True)  # 1, eta, eta^2, eta^3
     blocks = {"A_minus2": a_minus2}
@@ -455,7 +453,7 @@ def leading_coefficients(
         p = build_P(potential, grid).matrix
         _, rho = _radial_resolvent(potential, grid, classification.s1_basis[0], p)
     for sign, tag in ((PLUS, "plus"), (MINUS, "minus")):
-        stack = np.stack(samples[sign]).reshape(len(fit_etas), -1)
+        stack = samples[sign].reshape(len(fit_etas), -1)
         coef_cubic, *_ = np.linalg.lstsq(design, stack, rcond=None)
         coef_quad, *_ = np.linalg.lstsq(design[:, :3], stack, rcond=None)
         resid = np.max(

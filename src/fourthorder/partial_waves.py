@@ -22,10 +22,11 @@ e^{-kappa s} / (4 pi s), has a separable addition-theorem expansion
     R0_l(r, r') = [+-i eta j_l(eta r<) h^{(1,2)}_l(eta r>)
                    - (2/pi) kappa i_l(kappa r<) k_l(kappa r>)] / (1 + 2 eta^2),
 
-kappa = sqrt(1 + eta^2).  free_sector_resolvent evaluates it from
-cylinder functions of order l + 1/2, the modified ones exponentially
-scaled so that kappa * r_max ~ 1e4 stays finite; at eta = 0 the
-oscillatory term is r<^l / ((2l+1) r>^(l+1)).  Where kappa * r> is small
+kappa = sqrt(1 + eta^2).  free_sector_resolvent evaluates it, for one
+eta or stacked over an array of them, from cylinder functions of order
+l + 1/2, the modified ones exponentially scaled so that kappa * r_max ~
+1e4 stays finite; at eta = 0 the oscillatory term is r<^l / ((2l+1)
+r>^(l+1)).  Where kappa * r> is small
 the two terms cancel to a value of relative size (kappa r>)^2, so there
 the kernel is summed instead as a divided difference in k^2 of the
 addition-theorem series, which is free of that cancellation.
@@ -204,20 +205,44 @@ def _series_coefficients(order: float) -> np.ndarray:
     return coef
 
 
+@lru_cache(maxsize=64)
+def _difference_weights(eta2: tuple) -> np.ndarray:
+    """The weights d_n of free_sector_resolvent's series, one row per eta^2 in eta2.
+
+    d_(n+1) = (eta^2 d_(n-1) - d_n) / (1 + eta^2) from d_0 = 0, d_1 = 1.
+    They depend on the energies alone, so the sectors of one eta chunk,
+    and every T0 at eta = 0, share them.
+    """
+    x2 = np.array(eta2)
+    denominator = 1.0 + x2
+    d = np.zeros((2 * _SERIES_TERMS, x2.size))
+    d[1] = 1.0
+    terms = list(d)  # each step in place on the rows of d
+    for prev, cur, nxt in zip(terms, terms[1:], terms[2:]):
+        np.multiply(x2, prev, out=nxt)
+        np.subtract(nxt, cur, out=nxt)
+        np.divide(nxt, denominator, out=nxt)
+    d = d.T
+    d.setflags(write=False)
+    return d
+
+
 def _series_sum(d: np.ndarray, ell: int, r: np.ndarray, r_prime: np.ndarray) -> np.ndarray:
     """Sum_{p,q} d_(p+q) u_p(r<) w_q(r>), from -k j_l(k r<) y_l(k r>) = Sum u_p w_q k^(2(p+q)).
 
     Weights d_n that difference or differentiate k^(2n) do so to the
     series term by term, so its leading r<^l / r>^(l+1) cancels exactly.
+    Leading axes of d, r and r_prime broadcast, one matrix per entry.
     """
     p = np.arange(_SERIES_TERMS)
-    dmat = d[p[:, None] + p[None, :]]
-    regular = lambda x: _series_coefficients(ell) * x[:, None] ** (ell + 2 * p)
-    irregular = lambda x: (-1.0) ** ell * _series_coefficients(-ell - 1.0) * x[:, None] ** (2 * p - ell - 1.0)
+    dmat = d[..., p[:, None] + p[None, :]]
+    regular = lambda x: _series_coefficients(ell) * x[..., None] ** (ell + 2 * p)
+    irregular = lambda x: (-1.0) ** ell * _series_coefficients(-ell - 1.0) * x[..., None] ** (2 * p - ell - 1.0)
+    contract = lambda lo, hi: lo @ dmat @ np.swapaxes(hi, -1, -2)
     return np.where(
-        r[:, None] <= r_prime[None, :],
-        regular(r) @ dmat @ irregular(r_prime).T,
-        irregular(r) @ dmat @ regular(r_prime).T,
+        r[..., :, None] <= r_prime[..., None, :],
+        contract(regular(r), irregular(r_prime)),
+        contract(irregular(r), regular(r_prime)),
     )
 
 
@@ -226,7 +251,7 @@ def _pairing(ell: int, r, r_prime):
 
     Returns r, r_prime, their distinct radii x (0 -> 1, see _at_zero), the
     indices a, b of r and r_prime into x, and ordered(lo, hi), the matrix
-    lo(r<) hi(r>) from factors given on x.
+    lo(r<) hi(r>) from factors given on x, one matrix per leading index.
     """
     if ell < 0:
         raise ValueError("sector index must be nonnegative")
@@ -238,7 +263,7 @@ def _pairing(ell: int, r, r_prime):
     x = np.where(x > 0.0, x, 1.0)
     a, b = index[: r.size], index[r.size :]
     lower = x[a][:, None] <= x[b][None, :]
-    ordered = lambda lo, hi: np.where(lower, np.outer(lo[a], hi[b]), np.outer(hi[a], lo[b]))
+    ordered = lambda lo, hi: np.where(lower, lo[..., a, None] * hi[..., None, b], hi[..., a, None] * lo[..., None, b])
     return r, r_prime, x, a, b, ordered
 
 
@@ -253,56 +278,68 @@ def _at_zero(kern: np.ndarray, ell: int, r, r_prime, kernel) -> np.ndarray:
     return kern
 
 
-def free_sector_resolvent(sign, eta: float, ell: int, r, r_prime) -> np.ndarray:
+def free_sector_resolvent(sign, eta, ell: int, r, r_prime) -> np.ndarray:
     """Sector kernel R0_l(sign; eta; r_i, r'_j) of the free resolvent, in closed form.
 
     Returns the len(r) x len(r') matrix of the addition-theorem form in
-    the module docstring.  The cylinder functions are evaluated once per
-    distinct radius and the matrix is formed from outer products under
-    the r <= r' mask; radius 0 takes the exact limit, nonzero only for
-    l = 0.
+    the module docstring for a scalar eta, and a stack of them, one per
+    entry, for a 1-D array of eta.  The cylinder functions are evaluated
+    once per (eta, distinct radius) and each matrix is formed from outer
+    products under the r <= r' mask; radius 0 takes the exact limit,
+    nonzero only for l = 0.
     """
     s = _sign_factor(sign)
-    eta = float(eta)
-    if not (eta >= 0.0 and np.isfinite(eta)):
+    etas = np.asarray(eta, dtype=float)
+    if etas.ndim > 1:
+        raise ValueError("eta must be a scalar or a 1-D array")
+    if not (np.isfinite(etas).all() and (etas >= 0.0).all()):
         raise ValueError("eta must be finite and >= 0")
     r, r_prime, x, a, b, ordered = _pairing(ell, r, r_prime)
-    kappa = np.sqrt(1.0 + eta * eta)
+    eta = np.atleast_1d(etas)[:, None]  # one row per energy, against x
+    e2 = eta * eta
+    kappa = np.sqrt(1.0 + e2)
     nu = ell + 0.5
 
     # radial factors on the distinct radii, each divided by sqrt(radius):
-    # regular and outgoing oscillatory ones, exponentially scaled modified ones
+    # regular and outgoing oscillatory ones, exponentially scaled modified
+    # ones; eta = 0 rows take the static r<^l / ((2l+1) r>^(l+1))
     root = np.sqrt(x)
     i_scaled, k_scaled = ive(nu, kappa * x) / root, kve(nu, kappa * x) / root
-    if eta == 0.0:
-        reg, out = x**ell / (2 * ell + 1), x ** (-ell - 1.0)
-    else:
-        j_reg = jv(nu, eta * x) / root
-        reg, out = 0.5j * np.pi * s * j_reg, j_reg + 1j * s * yv(nu, eta * x) / root
+    j_reg = np.zeros(kappa.shape[:1] + x.shape)
+    reg, out = np.empty_like(j_reg, dtype=complex), np.empty_like(j_reg, dtype=complex)
+    live = eta[:, 0] > 0.0
+    arg = eta[live] * x
+    j_reg[live] = j_live = jv(nu, arg) / root
+    reg[live], out[live] = 0.5j * np.pi * s * j_live, j_live + 1j * s * yv(nu, arg) / root
+    reg[~live], out[~live] = x**ell / (2 * ell + 1), x ** (-ell - 1.0)
     ra, rb = x[a], x[b]
-    decaying = ordered(i_scaled, k_scaled) * np.exp(-kappa * np.abs(ra[:, None] - rb[None, :]))
-    kern = (ordered(reg, out) - decaying).astype(complex)
+    decaying = ordered(i_scaled, k_scaled) * np.exp(-kappa[:, :, None] * np.abs(ra[:, None] - rb[None, :]))
+    kern = ordered(reg, out) - decaying
 
-    near_a, near_b = kappa * ra <= _SERIES_RADIUS, kappa * rb <= _SERIES_RADIUS
-    if near_a.any() and near_b.any():
+    # the series region kappa r> <= _SERIES_RADIUS of every eta lies in the
+    # block of radii within it at the smallest kappa; the block is summed
+    # there for every eta and kept where that eta's kappa * r> is in range
+    reach = _SERIES_RADIUS / kappa.min()
+    rows, cols = np.flatnonzero(ra <= reach), np.flatnonzero(rb <= reach)
+    if rows.size and cols.size:
         # with F(k) = i k j_l(k r<) h_l(k r>), R0_l is the divided difference
         # (F(eta) - F(i kappa)) / (eta^2 + kappa^2).  The part of F even in k,
         # -k j_l y_l, is summed at kappa r with weights d_n = D_n / kappa^(2(n-1)),
         # D_n = (x^n - y^n) / (x - y) for x = eta^2, y = -kappa^2, by D_(n+1) =
         # (x + y) D_n - x y D_(n-1); the odd part i k j_l j_l is taken at i kappa and eta
-        d = np.zeros(2 * _SERIES_TERMS)
-        d[1] = 1.0
-        for n in range(1, d.size - 1):
-            d[n + 1] = (-d[n] + eta * eta * d[n - 1]) / (1.0 + eta * eta)
-        even = (1.0 + 2.0 * eta * eta) / kappa * _series_sum(d, ell, kappa * ra[near_a], kappa * rb[near_b])
-        rows, cols = a[near_a], b[near_b]
-        i_reg = i_scaled * np.exp(np.minimum(kappa * x, _SERIES_RADIUS))  # finite off the block
-        odd = (-1.0) ** ell * np.outer(i_reg[rows], i_reg[cols]).astype(complex)
-        if eta > 0.0:
-            odd += 1j * s * np.outer(j_reg[rows], j_reg[cols])
-        kern[np.ix_(near_a, near_b)] = even + 0.5 * np.pi * odd
-    kern /= 1.0 + 2.0 * eta * eta
-    return _at_zero(kern, ell, r, r_prime, lambda sep: free_resolvent(s, eta, sep))
+        d = _difference_weights(tuple(e2[:, 0].tolist()))
+        near_r, near_c = kappa * ra[rows], kappa * rb[cols]
+        even = ((1.0 + 2.0 * e2) / kappa)[:, :, None] * _series_sum(d, ell, near_r, near_c)
+        # the clamp only keeps exp finite where the block is not kept
+        i_reg = i_scaled * np.exp(np.minimum(kappa * x, _SERIES_RADIUS))
+        odd = (-1.0) ** ell * i_reg[:, a[rows], None] * i_reg[:, None, b[cols]]
+        odd = odd + 1j * s * j_reg[:, a[rows], None] * j_reg[:, None, b[cols]]
+        near = (near_r[:, :, None] <= _SERIES_RADIUS) & (near_c[:, None, :] <= _SERIES_RADIUS)
+        block = (slice(None), rows[:, None], cols)
+        kern[block] = np.where(near, even + 0.5 * np.pi * odd, kern[block])
+    kern /= (1.0 + 2.0 * e2)[:, :, None]
+    kern = _at_zero(kern, ell, r, r_prime, lambda sep: free_resolvent(s, eta[:, :, None], sep))
+    return kern if etas.ndim else kern[0]
 
 
 def g2_sector_kernel(ell: int, r, r_prime) -> np.ndarray:

@@ -12,11 +12,13 @@ block of M come from the closed-form sector kernel
 R0_l(r, r') = [i eta j_l(eta r<) h_l(eta r>) - (2/pi) kappa i_l(kappa r<)
 k_l(kappa r>)] / (1 + 2 eta^2) of partial_waves.free_sector_resolvent
 (the addition theorems of DLMF 10.60), with no mu-quadrature.  A
-sandwich still needs one factorization per energy, so a CorrectionCache
-samples the sector-resummed difference once per geometry on an eta grid,
-splines it, and every time sample integrates the cheap spline.  Only the
-+ boundary is ever assembled: for real data the - boundary is its
-complex conjugate.
+sandwich still needs M(eta) inverted at every energy, so a
+CorrectionCache samples the sector-resummed difference once per geometry
+on an eta grid, splines it, and every time sample integrates the cheap
+spline.  The cache, and G's second-kernel display, evaluate the kernel
+and invert M for a whole chunk of eta nodes per sector in one stacked
+call each.  Only the + boundary is ever assembled: for real data the -
+boundary is its complex conjugate.
 
 Threshold corrections: at a zero-energy resonance or eigenvalue the
 sandwich difference carries a 1/eta pole whose Stone integral decays only
@@ -106,6 +108,10 @@ _SPLINE_REL = 1e-4
 # (4 B(h) - B(2h)) / 3 on that plateau, which cancels its eta^2 term.
 _POLE_FIT_ETA = 1e-3
 
+# stacked sector kernels and inverses run on eta chunks of at most this many
+# elements per stacked matrix, which bounds their temporaries to ~1 MB each
+_BLOCK_ELEMENTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class Geometry:
@@ -139,10 +145,19 @@ class PropagatorSample:
     est_error: float
 
 
-def _sandwich_rows(eta: float, ell: int, radii, potential: Potential, grid: RadialGrid) -> np.ndarray:
-    """Coefficients of v R0+(eta; r, .) for each off-grid radius r, one row each."""
+def _sandwich_rows(eta, ell: int, radii, potential: Potential, grid: RadialGrid) -> np.ndarray:
+    """Coefficients of v R0+(eta; r, .) for each off-grid radius r, one row each.
+
+    A 1-D eta array gives a stack of such row sets, one per entry.
+    """
     rows = free_sector_resolvent(PLUS, eta, ell, radii, grid.nodes)
-    return rows * (np.sqrt(grid.weights) * grid.nodes * potential.half(grid.nodes))[None, :]
+    return rows * (np.sqrt(grid.weights) * grid.nodes * potential.half(grid.nodes))
+
+
+def _eta_chunks(count: int, per_eta: int):
+    """Slices of an eta array holding at most _BLOCK_ELEMENTS stacked matrix elements each."""
+    step = max(1, _BLOCK_ELEMENTS // per_eta)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
 # the rotated ray eta = e^{-i pi/8} y / sqrt(t): the quartic phase turns
@@ -304,14 +319,11 @@ def build_threshold_data(potential: Potential, grid: RadialGrid, classification)
     }
 
     pole_matrices = {}
+    steps = np.array([_POLE_FIT_ETA, 2.0 * _POLE_FIT_ETA])
     for ell, q1 in classification.s1_basis.items():
-        projection = _projection(q1, grid.count)
-
-        def first_order(eta):
-            m_op = build_M(PLUS, eta, potential, grid, ell)
-            return -eta * jn_invert(m_op, projection).matrix.imag
-
-        pole_matrices[ell] = (4.0 * first_order(_POLE_FIT_ETA) - first_order(2.0 * _POLE_FIT_ETA)) / 3.0
+        m_op = build_M(PLUS, steps, potential, grid, ell)
+        near, far = -steps[:, None, None] * jn_invert(m_op, _projection(q1, grid.count)).matrix.imag
+        pole_matrices[ell] = (4.0 * near - far) / 3.0
     return ThresholdData(
         potential=potential,
         grid=grid,
@@ -357,9 +369,9 @@ def _difference_display(t: float, geometry: Geometry, data: ThresholdData) -> co
 
         def integrand(etas):
             out = np.empty(etas.size, dtype=complex)
-            for k, eta in enumerate(etas):
-                left, right = _sandwich_rows(eta, ell, radii, pot, grid)
-                out[k] = 2j * (left @ block @ right).imag
+            for chunk in _eta_chunks(etas.size, len(radii) * grid.count):
+                left, right = np.moveaxis(_sandwich_rows(etas[chunk], ell, radii, pot, grid), 1, 0)
+                out[chunk] = 2j * np.sum((left @ block) * right, axis=1).imag
             return (4.0 * etas + 2.0 / etas) * out
 
         sectors[ell] = _integrate(integrand, plan).value
@@ -407,7 +419,10 @@ class CorrectionCache:
     threshold in every verdict, together with its limit W_raw(0+), the
     pole coefficient, sandwiched from build_threshold_data's zero-energy
     blocks; those blocks are kept as threshold_data, for F_kernel and
-    G_kernel.  Built once, read concurrently.
+    G_kernel.  Per sector, each chunk of eta nodes (at most
+    _BLOCK_ELEMENTS stacked matrix elements) takes one kernel evaluation,
+    which serves M's R0 block and the sandwich rows alike, and one stacked
+    jn_invert.  Built once, read concurrently.
     """
 
     def __init__(
@@ -445,25 +460,26 @@ class CorrectionCache:
     def _build(self):
         pot, grid = self.potential, self.grid
         s1 = self.classification.s1_basis
-        projections = [_projection(s1.get(ell), grid.count) for ell in range(self.ell_max + 1)]
         radii = sorted({g.r for g in self.geometries} | {g.r_prime for g in self.geometries})
         left = [radii.index(g.r) for g in self.geometries]
         right = [radii.index(g.r_prime) for g in self.geometries]
         n = grid.count
         scale = np.sqrt(grid.weights) * grid.nodes
         weight = scale * pot.half(grid.nodes)
-        # one kernel evaluation per (eta, l) serves M's R0 block (the grid
-        # rows) and the sandwich rows of every geometry radius (the rest)
+        # one stacked kernel evaluation per (eta chunk, l) serves M's R0 block
+        # (the grid rows) and the sandwich rows of every geometry radius (the rest)
         rows_from = np.concatenate([grid.nodes, radii])
         # Im of each sector's sandwich at every eta node, per geometry
         sand_im = np.empty((len(self.geometries), self.ell_max + 1, self.eta_nodes.size))
-        for k, eta in enumerate(self.eta_nodes):
-            for ell in range(self.ell_max + 1):
-                kern = free_sector_resolvent(PLUS, eta, ell, rows_from, grid.nodes)
-                m_op = _m_from_r0(scale[:, None] * kern[:n] * scale[None, :], pot, grid, ell)
-                minv = jn_invert(m_op, projections[ell]).matrix
-                rows = kern[n:] * weight[None, :]
-                sand_im[:, ell, k] = (rows @ minv @ rows.T)[left, right].imag
+        for ell in range(self.ell_max + 1):
+            projection = _projection(s1.get(ell), n)
+            for chunk in _eta_chunks(self.eta_nodes.size, rows_from.size * n):
+                kern = free_sector_resolvent(PLUS, self.eta_nodes[chunk], ell, rows_from, grid.nodes)
+                m_op = _m_from_r0(scale[:, None] * kern[:, :n] * scale, pot, grid, ell)
+                minv = jn_invert(m_op, projection).matrix
+                rows = kern[:, n:] * weight
+                sand = rows @ minv @ np.swapaxes(rows, 1, 2)
+                sand_im[:, ell, chunk] = sand[:, left, right].imag.T
         for g, sand in zip(self.geometries, sand_im):
             vals = 2j * self.eta_nodes * resum_sectors(sand, g.cos_gamma)
             self._splines[g] = CubicSpline(self.eta_nodes, vals)

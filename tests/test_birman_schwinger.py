@@ -264,6 +264,49 @@ class TestProjectionSplitInversion:
             jn_invert(SectorOperator(ell=3, grid=grid64, matrix=zero), zero)
         assert info.value.factor == "sector 3 M"
 
+    def test_stack_matches_member_inverses(self, grid64, resonance_potential, resonance_classification):
+        # one stacked call over eta against one 2-D call per member
+        q = resonance_classification.s1_basis[0]
+        s = q @ q.T
+        etas = np.array([1e-6, 1e-3, 0.2, 3.0])
+        stacked = build_M(PLUS, etas, resonance_potential, grid64, 0)
+        inv = jn_invert(stacked, s)
+        assert isinstance(inv, SectorOperator) and inv.matrix.shape == (etas.size, grid64.count, grid64.count)
+        for k, eta in enumerate(etas):
+            m = build_M(PLUS, eta, resonance_potential, grid64, 0)
+            assert np.array_equal(stacked.matrix[k], m.matrix)
+            want = jn_invert(m, s).matrix
+            assert np.max(np.abs(inv.matrix[k] - want)) <= 1e-13 * np.max(np.abs(want)), eta
+
+    @pytest.mark.parametrize(
+        "members, diagonal, factor",
+        [
+            # a zero S inverts M itself; M + S singular by construction; M + S
+            # fine but M1 = 0 on range(S)
+            ([[1.0, 2.0, 3.0], [1.0, 0.0, 3.0]], None, "sector 2 M"),
+            ([[2.0, 1.0, 1.0], [1.0, 1.0, -1.0]], 2, "sector 2 M + S"),
+            ([[2.0, 1.0, 1.0], [1.0, 1.0, 2.0], [0.0, 1.0, 2.0]], 0, "sector 2 M1"),
+        ],
+    )
+    def test_singular_member_of_a_stack_is_named(self, grid64, members, diagonal, factor):
+        s = np.zeros((3, 3))
+        if diagonal is not None:
+            s[diagonal, diagonal] = 1.0
+        stack = np.stack([np.diag(m) for m in members]).astype(complex)
+        with pytest.raises(SingularFactorError) as info:
+            jn_invert(SectorOperator(ell=2, grid=grid64, matrix=stack), s)
+        assert info.value.factor == factor
+
+    def test_guard_is_the_exact_condition_number(self):
+        # ||A||_1 ||A^-1||_1 of diag(1, d) is 1/d: above the 1e12 limit the
+        # stack is refused, below it inverted
+        zero = np.zeros((2, 2))
+        with pytest.raises(SingularFactorError) as info:
+            jn_invert(np.stack([np.eye(2), np.diag([1.0, 5e-13])]), zero)
+        assert info.value.factor == "M" and info.value.cond == pytest.approx(2e12, rel=1e-12)
+        inv = jn_invert(np.stack([np.eye(2), np.diag([1.0, 2e-12])]), zero)
+        assert np.allclose(inv[1], np.diag([1.0, 5e11]), rtol=1e-15, atol=0.0)
+
     def test_rejects_non_projection(self):
         m = np.eye(3)
         with pytest.raises(ValueError, match="projection"):

@@ -181,6 +181,29 @@ class TestFreeSectorResolvent:
                 minus = free_sector_resolvent(MINUS, eta, ell, grid64.nodes, grid64.nodes)
                 assert np.array_equal(minus, plus.conj())
 
+    def test_eta_array_stacks_the_scalar_kernels(self):
+        # rows at radius 0 and at 1.9 and 2.1, where kappa r crosses the
+        # series radius 2 between eta = 0 and eta = 0.7 inside the stack
+        grid = build_grid(32, r_max=9.0)
+        rows = np.concatenate([[0.0, 0.3, 1.9, 2.1], grid.nodes])
+        etas = np.array([0.0, 1e-6, 0.01, 0.7, 3.0, 8.0])
+        for sign in (PLUS, MINUS):
+            for ell in (0, 1, 2, 5):
+                stack = free_sector_resolvent(sign, etas, ell, rows, grid.nodes)
+                assert stack.shape == (etas.size, rows.size, grid.count)
+                for k, eta in enumerate(etas):
+                    want = free_sector_resolvent(sign, eta, ell, rows, grid.nodes)
+                    assert want.shape == (rows.size, grid.count)
+                    assert np.max(np.abs(stack[k] - want)) <= 1e-15 * np.max(np.abs(want)), (eta, ell)
+
+    def test_eta_array_validation(self, grid64):
+        with pytest.raises(ValueError, match="eta"):
+            free_sector_resolvent(PLUS, [0.5, -0.5], 0, grid64.nodes, grid64.nodes)
+        with pytest.raises(ValueError, match="eta"):
+            free_sector_resolvent(PLUS, [0.5, np.inf], 0, grid64.nodes, grid64.nodes)
+        with pytest.raises(ValueError, match="1-D"):
+            free_sector_resolvent(PLUS, np.ones((2, 2)), 0, grid64.nodes, grid64.nodes)
+
     def test_validation(self, grid64):
         with pytest.raises(ValueError, match="eta"):
             free_sector_resolvent(PLUS, -0.5, 0, grid64.nodes, grid64.nodes)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fourthorder.birman_schwinger import _projection
 from fourthorder.birman_schwinger import (
     build_M,
     classify,
@@ -16,7 +17,7 @@ from fourthorder.decayfit import fit_decay
 from fourthorder.errors import ConvergenceError, TruncationError
 from fourthorder.kernels import FOUR_PI, MINUS, PLUS, free_resolvent
 from fourthorder.oscillatory import IntegrationPlan, _integrate, stone_integral
-from fourthorder.partial_waves import build_grid, build_sector_operator, legendre_project
+from fourthorder.partial_waves import build_grid, build_sector_operator, legendre_project, resum_sectors
 from fourthorder.propagator import (
     CorrectionCache,
     F_kernel,
@@ -31,6 +32,7 @@ from fourthorder.propagator import (
 from fourthorder.propagator import (
     _free_kernel_result,
     _fresnel_weight,
+    _difference_display,
     _pole_sandwich,
     _pole_tail,
     _ray_integral,
@@ -324,6 +326,79 @@ class TestThresholdData:
         block = eigenvalue_data.pole_blocks[1]
         rel = np.linalg.norm(eta**2 * minv.real - block) / np.linalg.norm(block)
         assert rel < 1e-3
+
+
+def per_node_difference(cache, etas):
+    """W_raw(eta) = 2i eta Im(resummed sandwich) per cache geometry, one jn_invert per (eta, l)."""
+    pot, grid = cache.potential, cache.grid
+    s1 = cache.classification.s1_basis
+    sectors = np.empty((len(cache.geometries), cache.ell_max + 1, len(etas)))
+    for k, eta in enumerate(etas):
+        for ell in range(cache.ell_max + 1):
+            minv = jn_invert(build_M(PLUS, eta, pot, grid, ell), _projection(s1.get(ell), grid.count)).matrix
+            for i, g in enumerate(cache.geometries):
+                left, right = _sandwich_rows(eta, ell, [g.r, g.r_prime], pot, grid)
+                sectors[i, ell, k] = (left @ minv @ right).imag
+    return {g: 2j * etas * resum_sectors(sand, g.cos_gamma) for g, sand in zip(cache.geometries, sectors)}
+
+
+def oracle_nodes(cache):
+    """Every logarithmic node of the eta grid and every tenth linear one."""
+    log_part = cache.eta_nodes <= 0.05
+    return np.concatenate([cache.eta_nodes[log_part], cache.eta_nodes[~log_part][::10]])
+
+
+class TestStackedCache:
+    def test_regular_and_resonance_against_per_node_oracle(
+        self, geometries, subcritical_cache, resonance_cache
+    ):
+        for cache in (subcritical_cache, resonance_cache):
+            etas = oracle_nodes(cache)
+            oracle = per_node_difference(cache, etas)
+            for g in geometries:
+                got, want = cache.scaled_difference(g)(etas), oracle[g]
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_eigenvalue_against_per_node_oracle(self, geometries, eigenvalue_cache):
+        # below eta ~ 1e-3 the sandwich's Im cancels and a 1-ulp change of
+        # M alone moves W by ~6e-4 of max|W| on an n=32 well, so only the
+        # band above is held to rounding
+        etas = oracle_nodes(eigenvalue_cache)
+        oracle = per_node_difference(eigenvalue_cache, etas)
+        for g in geometries:
+            got, want = eigenvalue_cache.scaled_difference(g)(etas), oracle[g]
+            err = np.abs(got - want) / np.max(np.abs(want))
+            assert np.max(err[etas >= 1e-3]) <= 1e-9
+            assert np.max(err) <= 1e-3
+
+    def test_geometry_at_the_origin(self, grid64, subcritical_potential, subcritical_classification):
+        geoms = [Geometry(0.0, 1.3, 0.2), Geometry(0.8, 0.0, -0.4)]
+        cache = CorrectionCache(subcritical_potential, grid64, subcritical_classification, geoms, eta_top=0.5)
+        etas = oracle_nodes(cache)
+        oracle = per_node_difference(cache, etas)
+        for g in geoms:
+            got, want = cache.scaled_difference(g)(etas), oracle[g]
+            assert np.all(np.isfinite(got)) and np.max(np.abs(want)) > 0.0
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_display_against_per_node_integrand(self, geometries, eigenvalue_data):
+        # the second-kernel display integrates the same sandwich one node at a time
+        pot, grid = eigenvalue_data.potential, eigenvalue_data.grid
+        t, g = 50.0, geometries[1]
+        plan = IntegrationPlan(t=t, interval=(0.0, t**-0.5), tol=1e-10)
+        sectors = np.zeros(max(eigenvalue_data.pole_blocks) + 1, dtype=complex)
+        for ell, block in eigenvalue_data.pole_blocks.items():
+
+            def integrand(etas):
+                vals = []
+                for eta in etas:
+                    left, right = _sandwich_rows(eta, ell, [g.r, g.r_prime], pot, grid)
+                    vals.append(2j * (left @ block @ right).imag)
+                return (4.0 * etas + 2.0 / etas) * np.array(vals)
+
+            sectors[ell] = _integrate(integrand, plan).value
+        want = -STONE_PREFACTOR * resum_sectors(sectors, g.cos_gamma)
+        assert _difference_display(t, g, eigenvalue_data) == pytest.approx(want, rel=1e-13)
 
 
 class TestPoleTail:
