@@ -33,8 +33,8 @@ from .partial_waves import build_grid
 from .propagator import (
     CorrectionCache,
     Geometry,
+    _free_kernel_result,
     evolution_kernel,
-    free_kernel,
     weighted_norm,
     weighted_operator,
 )
@@ -412,14 +412,15 @@ def _run_free_decay(config: ExperimentConfig, threads: int):
     tol = config["tolerance.kernel"]
 
     def one(t: float):
-        return [free_kernel(t, float(r), tol=tol) for r in radii]
+        return [_free_kernel_result(t, float(r), tol) for r in radii]
 
     per_t = _parallel_map(one, [float(t) for t in ts], threads)
     rows, sups = [], []
-    for t, vals in zip(ts, per_t):
-        sups.append(max(abs(v) for v in vals))
-        for r, v in zip(radii, vals):
-            rows.append((float(t), float(r), 0.0, 1.0, v.real, v.imag, abs(v), 0.0, tol))
+    for t, results in zip(ts, per_t):
+        sups.append(max(abs(q.value) for q in results))
+        for r, q in zip(radii, results):
+            v = q.value
+            rows.append((float(t), float(r), 0.0, 1.0, v.real, v.imag, abs(v), 0.0, q.error))
     fits = [_labeled(fit_decay(np.column_stack([ts, sups])), "sup")]
     assertions = _exponent_assertions(config, fits)
     header = ("t", "r", "r_prime", "cos_gamma", "re", "im", "abs", "correction", "est_error")

@@ -7,9 +7,14 @@ All time evolution in this package is synthesized from integrals of the form
 The substitution u = eta^4 + eta^2 makes the phase exactly linear in u, so
 there is no stationary-phase machinery here: panels are chosen to span at
 most one oscillation period in u (plus a cap on their eta-width so the
-amplitude stays resolved) and fixed-order Gauss-Legendre does the rest.
-Panel sums are reduced pairwise in a fixed order, which keeps results
-bit-reproducible no matter how the evaluation is chunked.
+amplitude stays resolved) and the Gauss-Kronrod (10, 21) pair does the
+rest.  Every panel is evaluated once: its 21 Kronrod nodes give the value
+and, through the embedded 10-point Gauss rule, the error estimate.  Only
+panels that miss their share of the tolerance are halved, and only the
+halves are evaluated.  The improper tail grows its cut by integrating the
+new segment alone, so no eta is evaluated twice.  Panel sums are reduced
+pairwise in a fixed order, which keeps results bit-reproducible no matter
+how the evaluation is chunked.
 """
 
 from __future__ import annotations
@@ -30,7 +35,38 @@ __all__ = [
     "stone_integral",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# QUADPACK's qk21 table (Piessens et al., QUADPACK, Springer 1983): the
+# nonnegative Kronrod abscissae of [-1, 1], the 10-point Gauss ones at odd
+# positions, the Kronrod weights, and the Gauss weights of those abscissae.
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+
+# the 21 nodes on [-1, 1] and a (21, 2) weight matrix whose columns are the
+# Kronrod rule and the embedded Gauss rule (zero at Kronrod-only nodes)
+_GK_NODES = np.concatenate([_XGK, np.negative(_XGK[-2::-1])])
+_GK_WEIGHTS = np.zeros((21, 2))
+_GK_WEIGHTS[:, 0] = np.concatenate([_WGK, _WGK[-2::-1]])
+_GK_WEIGHTS[1:10:2, 1] = _WG
+_GK_WEIGHTS[11::2, 1] = _WG[::-1]
 
 # Panels never exceed one period in u, but the amplitude must be resolved
 # too; this caps the eta-width of any panel.
@@ -38,14 +74,19 @@ ETA_STEP_CAP = 0.5
 
 DEFAULT_MAX_PANELS = 2_000_000
 
-# Evaluation proceeds in blocks of at most this many panels so huge plans
-# never materialize a node array larger than ~32 MB.
-_BLOCK_PANELS = 1 << 16
+# Evaluation proceeds in blocks of at most 15 * 2^16 nodes so huge plans
+# never materialize a complex value array larger than ~16 MB.
+_BLOCK_PANELS = (15 << 16) // _GK_NODES.size
 
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Value of an oscillatory integral with its accounting."""
+    """Value of an oscillatory integral with its accounting.
+
+    panels is the size of the accepted panel set: every panel there was
+    evaluated once, and the halves of a split panel replace it.  Fixed
+    rules that use no panels report 0.
+    """
 
     value: complex
     error: float
@@ -110,55 +151,59 @@ def panel_edges(plan: IntegrationPlan) -> np.ndarray:
     return edges
 
 
-def _refine(edges: np.ndarray, splits: int) -> np.ndarray:
-    if splits == 1:
-        return edges
-    frac = np.arange(splits) / splits
-    fine = edges[:-1, None] + np.diff(edges)[:, None] * frac[None, :]
-    return np.append(fine.ravel(), edges[-1])
-
-
-def _panel_sums(h, t: float, edges: np.ndarray) -> np.ndarray:
-    """Per-panel Gauss-Legendre sums of e^{-it*lambda(eta)} h(eta)."""
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halves = 0.5 * np.diff(edges)
+def _panel_sums(h, t: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per-panel (Kronrod-21, Gauss-10) sums of e^{-it*lambda(eta)} h(eta), shape (n, 2)."""
+    mids = 0.5 * (hi + lo)
+    halves = 0.5 * (hi - lo)
     n = mids.size
-    out = np.empty(n, dtype=complex)
-    for lo in range(0, n, _BLOCK_PANELS):
-        hi = min(lo + _BLOCK_PANELS, n)
-        x = mids[lo:hi, None] + halves[lo:hi, None] * _GL_NODES[None, :]
+    out = np.empty((n, 2), dtype=complex)
+    for start in range(0, n, _BLOCK_PANELS):
+        stop = min(start + _BLOCK_PANELS, n)
+        x = mids[start:stop, None] + halves[start:stop, None] * _GK_NODES[None, :]
         flat = x.ravel()
         vals = np.asarray(h(flat), dtype=complex) * np.exp(-1j * t * lambda_of_eta(flat))
-        out[lo:hi] = halves[lo:hi] * (vals.reshape(x.shape) @ _GL_WEIGHTS)
+        out[start:stop] = halves[start:stop, None] * (vals.reshape(x.shape) @ _GK_WEIGHTS)
     return out
 
 
 def _integrate(h, plan: IntegrationPlan) -> QuadResult:
-    """Adaptive driver: h-refine until the coarse/fine difference is small."""
-    base = panel_edges(plan)
-    n_base = base.size - 1
-    splits = 1
-    coarse = complex(np.add.reduce(_panel_sums(h, plan.t, base)))
-    best, best_err = coarse, math.inf
+    """Adaptive driver: one Gauss-Kronrod pass, then halve only the panels that miss.
+
+    The sum over panels is accepted when |sum(K - G)| <= tol * (1 + |sum K|),
+    and sum K is returned with that error.  Otherwise the panels whose own
+    |K - G| exceeds their share tol * (1 + |sum K|) / n are halved (all of
+    them when none does); only the halves are evaluated, the other panels
+    keep their sums, and the test repeats.  The panel budget applies to the
+    total after each split.
+    """
+    edges = panel_edges(plan)
+    sums = _panel_sums(h, plan.t, edges[:-1], edges[1:])
     for _ in range(20):
-        if 2 * splits * n_base > plan.max_panels:
+        value = complex(np.add.reduce(sums[:, 0]))
+        miss = sums[:, 0] - sums[:, 1]
+        err = abs(complex(np.add.reduce(miss)))
+        allowance = plan.tol * (1.0 + abs(value))
+        if err <= allowance:
+            return QuadResult(value=value, error=err, panels=sums.shape[0])
+        idx = np.flatnonzero(np.abs(miss) > allowance / sums.shape[0])
+        if idx.size == 0:
+            idx = np.arange(sums.shape[0])
+        if sums.shape[0] + idx.size > plan.max_panels:
             raise ConvergenceError(
                 f"needed more than {plan.max_panels} panels on {plan.interval}",
-                best_estimate=best,
-                achieved_error=best_err,
+                best_estimate=value,
+                achieved_error=err,
             )
-        fine_edges = _refine(base, 2 * splits)
-        fine = complex(np.add.reduce(_panel_sums(h, plan.t, fine_edges)))
-        err = abs(fine - coarse)
-        if err <= plan.tol * (1.0 + abs(fine)):
-            return QuadResult(value=fine, error=err, panels=fine_edges.size - 1)
-        best, best_err = fine, err
-        coarse = fine
-        splits *= 2
+        lo, hi = edges[idx], edges[idx + 1]
+        mid = 0.5 * (lo + hi)
+        halves = _panel_sums(h, plan.t, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        sums[idx] = halves[: idx.size]
+        sums = np.insert(sums, idx + 1, halves[idx.size :], axis=0)
+        edges = np.insert(edges, idx + 1, mid)
     raise ConvergenceError(
         f"no convergence after 20 refinement passes on {plan.interval}",
-        best_estimate=best,
-        achieved_error=best_err,
+        best_estimate=value,
+        achieved_error=err,
     )
 
 
@@ -204,7 +249,9 @@ def improper_tail(
     the reported truncation_bound is the magnitude of the first neglected
     boundary term, |g'(u_max)| / t^2, which dominates the remainder once
     f'(eta(u)) decays monotonically.  min_eta forces the cut beyond any
-    known oscillation scale of f.
+    known oscillation scale of f.  Each time the cut grows by 1.5x only the
+    new segment [previous eta_max, eta_max] is integrated; its value, error
+    and panels add to the body's, and max_panels bounds their total.
     """
     if not (t != 0.0 and np.isfinite(t)):
         raise ValueError("time must be finite and nonzero")
@@ -212,6 +259,7 @@ def improper_tail(
         raise ValueError("lower endpoint must be nonnegative")
 
     eta_max = max(2.0 * (a + 1.0), 4.0, min_eta)
+    lo, body, body_error, panels = a, 0.0 + 0.0j, 0.0, 0
     bound = math.inf
     for _ in range(64):
         if eta_max > max_eta:
@@ -219,19 +267,29 @@ def improper_tail(
                 f"could not certify the tail below tol={tol} by eta_max={max_eta}; "
                 f"achieved bound {bound:.3e}"
             )
-        body = stone_integral(f, t, (a, eta_max), tol=tol, max_panels=max_panels)
+        if panels >= max_panels:
+            raise ConvergenceError(
+                f"needed more than {max_panels} panels on [{a}, {eta_max}]",
+                best_estimate=None,
+                achieved_error=math.inf,
+            )
+        segment = stone_integral(f, t, (lo, eta_max), tol=tol, max_panels=max_panels - panels)
+        body += segment.value
+        body_error += segment.error
+        panels += segment.panels
+        lo = eta_max
         u_max = lambda_of_eta(eta_max)
         g_end = complex(np.asarray(f(np.array([eta_max])), dtype=complex)[0])
         dg_end = _boundary_derivative(f, u_max)
         it = 1j * t
         correction = np.exp(-it * u_max) * (g_end / it + dg_end / it**2)
-        value = body.value + correction
+        value = body + correction
         bound = abs(dg_end) / t**2
         if bound <= tol * (1.0 + abs(value)):
             return QuadResult(
                 value=value,
-                error=body.error + bound,
-                panels=body.panels,
+                error=body_error + bound,
+                panels=panels,
                 truncation_bound=bound,
                 eta_max=eta_max,
             )

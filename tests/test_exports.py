@@ -1,6 +1,10 @@
-"""Every name a module lists in __all__ must exist."""
+"""Every name a module lists in __all__ must exist; the CLI imports stay lean."""
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +20,13 @@ def test_all_names_exist(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ lists missing names {missing}"
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # the quadrature tables are hard-coded so that CLI start-up never pays
+    # for scipy.integrate; a fresh interpreter shows what an import loads
+    src = str(Path(fourthorder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, fourthorder.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -7,6 +7,7 @@ import pytest
 from fourthorder.cli import main
 from fourthorder.errors import ConfigError
 from fourthorder.harness import ExperimentConfig, parse_config, render_config, run
+from fourthorder.propagator import _free_kernel_result
 
 CLASSIFY_ZERO = """
 # zero coupling: the pipeline must come out regular
@@ -192,6 +193,20 @@ class TestRun:
         report = run(cfg, tmp_path)
         assert report.ok
         assert report.verdict is None
+
+    def test_free_decay_rows_carry_the_kernel_error(self, tmp_path):
+        cfg = parse_config(
+            "experiment.name = free-decay\nwindow.t_lo = 0.001\nwindow.t_hi = 0.002\n"
+            "window.samples = 5\nrgrid.count = 2\nrgrid.r_max = 0.6\n"
+            "tolerance.kernel = 1e-6\n"
+        )
+        report = run(cfg, tmp_path)
+        for t, r, *_, est_error in report.csv_rows:
+            assert est_error == _free_kernel_result(t, r, 1e-6).error
+        # at the first sample the certified tail alone exceeds the tolerance
+        t, r, *_, est_error = report.csv_rows[0]
+        assert (t, r) == (0.001, 0.0)
+        assert est_error > 2e-6
 
     def test_threads_must_be_positive(self, tmp_path):
         with pytest.raises(ConfigError, match="threads"):

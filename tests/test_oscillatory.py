@@ -3,7 +3,10 @@ import pytest
 
 from fourthorder.errors import ConvergenceError, TruncationError
 from fourthorder.oscillatory import (
+    _GK_NODES,
+    _GK_WEIGHTS,
     IntegrationPlan,
+    _boundary_derivative,
     _integrate,
     improper_tail,
     panel_edges,
@@ -63,6 +66,29 @@ class TestPlan:
             IntegrationPlan(t=1.0, interval=(0.0, np.inf), tol=1e-9)
         with pytest.raises(ValueError):
             IntegrationPlan(t=1.0, interval=(0.0, 1.0), tol=0.0)
+
+
+class TestKronrodRule:
+    def moments(self, weights, kmax):
+        k = np.arange(kmax + 1)
+        exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+        return np.abs(_GK_NODES[None, :] ** k[:, None] @ weights - exact)
+
+    def test_kronrod_exact_through_degree_31(self):
+        assert _GK_NODES.size == 21
+        assert np.max(self.moments(_GK_WEIGHTS[:, 0], 31)) < 1e-15
+        assert self.moments(_GK_WEIGHTS[:, 0], 32)[-1] > 1e-13
+
+    def test_embedded_gauss_exact_through_degree_19(self):
+        assert np.max(self.moments(_GK_WEIGHTS[:, 1], 19)) < 1e-15
+        assert self.moments(_GK_WEIGHTS[:, 1], 20)[-1] > 1e-7
+
+    def test_embedded_gauss_is_legendre_10(self):
+        used = _GK_WEIGHTS[:, 1] != 0.0
+        order = np.argsort(_GK_NODES[used])
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        assert np.allclose(_GK_NODES[used][order], nodes, rtol=0.0, atol=1e-15)
+        assert np.allclose(_GK_WEIGHTS[used, 1][order], weights, rtol=0.0, atol=1e-15)
 
 
 class TestStoneIntegral:
@@ -131,6 +157,28 @@ class TestStoneIntegral:
         assert isinstance(info.value.best_estimate, complex)
 
 
+    def test_accepted_panels_are_evaluated_once(self):
+        calls = []
+
+        def h(eta):
+            calls.append(eta.size)
+            return np.exp(-(eta**2))
+
+        plan = IntegrationPlan(t=7.0, interval=(0.0, 3.0), tol=1e-9)
+        res = _integrate(h, plan)
+        assert res.panels == panel_edges(plan).size - 1
+        assert sum(calls) == 21 * res.panels
+
+    def test_only_missing_panels_are_split(self):
+        # one panel near eta = 0 misses its share; halving every panel
+        # would double the base plan
+        plan = IntegrationPlan(t=100.0, interval=(0.0, 2.0), tol=1e-9)
+        base = panel_edges(plan).size - 1
+        res = stone_integral(lambda eta: np.exp(-(eta**2)), 100.0, (0.0, 2.0), tol=1e-9)
+        assert base == 322
+        assert base < res.panels <= base + 8
+
+
 class TestImproperTail:
     def test_compact_support_reduces_to_finite_integral(self):
         f = lambda eta: smoothed_indicator(eta, lo=1.5, hi=3.0, ramp=0.3)
@@ -158,6 +206,26 @@ class TestImproperTail:
             doubled = improper_tail(f, t, a, tol=1e-6, min_eta=2.0 * first.eta_max)
             change = abs(first.value - doubled.value)
             assert change <= first.truncation_bound + first.error + doubled.error
+
+    def test_extensions_evaluate_each_eta_once(self):
+        seen = []
+
+        def f(eta):
+            seen.append(np.array(eta, copy=True))
+            return 1.0 / (1.0 + 2.0 * eta**2)
+
+        tail = improper_tail(f, 0.5, 0.0, tol=1e-8)
+        assert tail.eta_max > 4.0 * 1.5**3  # several extensions ran
+        etas = np.concatenate(seen)
+        assert np.unique(etas).size == etas.size
+
+        one_shot = stone_integral(f, 0.5, (0.0, tail.eta_max), tol=1e-8)
+        u_max = lambda_of_eta(tail.eta_max)
+        it = 0.5j
+        ends = np.exp(-it * u_max) * (
+            f(np.array([tail.eta_max]))[0] / it + _boundary_derivative(f, u_max) / it**2
+        )
+        assert abs(tail.value - (one_shot.value + ends)) <= tail.error + one_shot.error
 
     def test_truncation_error(self):
         f = lambda eta: 1.0 / np.sqrt(1.0 + 2.0 * eta**2)
