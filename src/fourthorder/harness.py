@@ -318,6 +318,14 @@ def _versions() -> dict:
     }
 
 
+def _timed(phases: dict, name: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with its wall time in seconds recorded as phases[name]."""
+    started = time.monotonic()
+    result = fn(*args, **kwargs)
+    phases[name] = time.monotonic() - started
+    return result
+
+
 def _parallel_map(fn, items, threads: int) -> list:
     # pool.map preserves submission order, so results (hence files) do
     # not depend on scheduling
@@ -389,7 +397,7 @@ def _labeled(fit, label: str) -> dict:
     return d
 
 
-def _run_classify(config: ExperimentConfig, threads: int):
+def _run_classify(config: ExperimentConfig, threads: int, phases: dict):
     potential = _potential_of(config)
     grid = _grid_of(config, potential)
     cls = classify(potential, grid, ell_max=config["grid.ell_max"])
@@ -405,7 +413,7 @@ def _run_classify(config: ExperimentConfig, threads: int):
     return cls.verdict, [], assertions, ("stage", "sector", "index", "singular_value"), rows
 
 
-def _run_free_decay(config: ExperimentConfig, threads: int):
+def _run_free_decay(config: ExperimentConfig, threads: int, phases: dict):
     t_lo, t_hi = _window(config.values, "t")
     ts = np.geomspace(t_lo, t_hi, config["window.samples"])
     radii = np.linspace(0.0, config["rgrid.r_max"], config["rgrid.count"])
@@ -414,7 +422,7 @@ def _run_free_decay(config: ExperimentConfig, threads: int):
     def one(t: float):
         return [_free_kernel_result(t, float(r), tol) for r in radii]
 
-    per_t = _parallel_map(one, [float(t) for t in ts], threads)
+    per_t = _timed(phases, "samples", _parallel_map, one, [float(t) for t in ts], threads)
     rows, sups = [], []
     for t, results in zip(ts, per_t):
         sups.append(max(abs(q.value) for q in results))
@@ -427,16 +435,16 @@ def _run_free_decay(config: ExperimentConfig, threads: int):
     return None, fits, assertions, header, rows
 
 
-def _run_perturbed_decay(config: ExperimentConfig, threads: int):
+def _run_perturbed_decay(config: ExperimentConfig, threads: int, phases: dict):
     potential = _potential_of(config)
     grid = _grid_of(config, potential)
-    cls = classify(potential, grid, ell_max=config["grid.ell_max"])
+    cls = _timed(phases, "classify", classify, potential, grid, ell_max=config["grid.ell_max"])
     geometry = Geometry(
         config["geometry.r"], config["geometry.r_prime"], config["geometry.cos_gamma"]
     )
     # the eta-grid cache (and its M inverses) is built once, before the
     # parallel phase; evolution_kernel only reads it
-    cache = CorrectionCache(potential, grid, cls, [geometry], ell_max=config["grid.ell_max"])
+    cache = _timed(phases, "cache", CorrectionCache, potential, grid, cls, [geometry], ell_max=config["grid.ell_max"])
     t_lo, t_hi = _window(config.values, "t")
     ts = np.geomspace(t_lo, t_hi, config["window.samples"])
     subtract = config["evolution.subtract"]
@@ -445,7 +453,7 @@ def _run_perturbed_decay(config: ExperimentConfig, threads: int):
     def one(t: float):
         return evolution_kernel(t, geometry, cache, subtract=subtract, tol=tol)
 
-    samples = _parallel_map(one, [float(t) for t in ts], threads)
+    samples = _timed(phases, "samples", _parallel_map, one, [float(t) for t in ts], threads)
     where = (geometry.r, geometry.r_prime, geometry.cos_gamma)
     rows = [
         (s.t, *where, s.value.real, s.value.imag, abs(s.value), abs(s.correction), s.est_error)
@@ -461,7 +469,7 @@ def _run_perturbed_decay(config: ExperimentConfig, threads: int):
     return cls.verdict, fits, assertions, header, rows
 
 
-def _run_resolvent_bounds(config: ExperimentConfig, threads: int):
+def _run_resolvent_bounds(config: ExperimentConfig, threads: int, phases: dict):
     verdict = None
     if config.get("potential.profile") is not None:
         potential = _potential_of(config)
@@ -509,7 +517,7 @@ def _run_resolvent_bounds(config: ExperimentConfig, threads: int):
     return verdict, fits, _exponent_assertions(config, fits), (variable, "norm"), rows
 
 
-def _run_expansion_check(config: ExperimentConfig, threads: int):
+def _run_expansion_check(config: ExperimentConfig, threads: int, phases: dict):
     lo, hi = _window(config.values, "eta")
     etas = np.geomspace(lo, hi, config["window.samples"])
     r = config["geometry.r"]
@@ -525,7 +533,7 @@ def _run_expansion_check(config: ExperimentConfig, threads: int):
     return None, fits, _exponent_assertions(config, fits), ("eta", "remainder"), rows
 
 
-def _run_resonance_tune(config: ExperimentConfig, threads: int):
+def _run_resonance_tune(config: ExperimentConfig, threads: int, phases: dict):
     profile = config["potential.profile"]
     beta = config.get("potential.beta")
 
@@ -565,8 +573,8 @@ def run(config: ExperimentConfig, out_dir, threads: int = 1) -> RunReport:
     """Execute the configured experiment and write its report files."""
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    started = time.monotonic()
-    verdict, fits, assertions, header, rows = _RUNNERS[config.experiment](config, threads)
+    started, phases = time.monotonic(), {}
+    verdict, fits, assertions, header, rows = _RUNNERS[config.experiment](config, threads, phases)
     elapsed = time.monotonic() - started
 
     report = RunReport(
@@ -585,12 +593,15 @@ def run(config: ExperimentConfig, out_dir, threads: int = 1) -> RunReport:
     json_path = out / config["output.json"]
     csv_path = out / config["output.csv"]
     meta_path = out / config["output.meta"]
+    writing = time.monotonic()
     json_path.write_bytes(report.json_bytes())
     csv_lines = [",".join(header)]
     csv_lines += [",".join(_format_cell(c) for c in row) for row in rows]
     csv_path.write_text("\n".join(csv_lines) + "\n")
+    phases["write"] = time.monotonic() - writing
     meta = {
         "elapsed_seconds": elapsed,
+        "phase_seconds": phases,
         "threads": threads,
         "written_utc": datetime.now(timezone.utc).isoformat(),
     }

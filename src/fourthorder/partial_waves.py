@@ -196,9 +196,9 @@ def legendre_project(kernel, ell: int, r, r_prime, n_mu: int | None = None):
 
 
 @lru_cache(maxsize=64)
-def _series_coefficients(order: float) -> np.ndarray:
-    """c_m with j_order(z) = z^order * Sum_m c_m z^(2m), for half-odd 2*order."""
-    m = np.arange(_SERIES_TERMS)
+def _series_coefficients(order: float, terms: int) -> np.ndarray:
+    """The first terms c_m with j_order(z) = z^order * Sum_m c_m z^(2m), for half-odd 2*order."""
+    m = np.arange(terms)
     fact = np.cumprod(np.maximum(m, 1))
     coef = 0.5 * np.sqrt(np.pi) * 2.0**-order * (-0.25) ** m / fact * rgamma(order + m + 1.5)
     coef.setflags(write=False)
@@ -232,12 +232,14 @@ def _series_sum(d: np.ndarray, ell: int, r: np.ndarray, r_prime: np.ndarray) -> 
 
     Weights d_n that difference or differentiate k^(2n) do so to the
     series term by term, so its leading r<^l / r>^(l+1) cancels exactly.
-    Leading axes of d, r and r_prime broadcast, one matrix per entry.
+    Leading axes of d, r and r_prime broadcast, one matrix per entry; d
+    holds two weights per series term.
     """
-    p = np.arange(_SERIES_TERMS)
+    p = np.arange(d.shape[-1] // 2)
     dmat = d[..., p[:, None] + p[None, :]]
-    regular = lambda x: _series_coefficients(ell) * x[..., None] ** (ell + 2 * p)
-    irregular = lambda x: (-1.0) ** ell * _series_coefficients(-ell - 1.0) * x[..., None] ** (2 * p - ell - 1.0)
+    coefficient = lambda order: _series_coefficients(order, p.size)
+    regular = lambda x: coefficient(ell) * x[..., None] ** (ell + 2 * p)
+    irregular = lambda x: (-1.0) ** ell * coefficient(-ell - 1.0) * x[..., None] ** (2 * p - ell - 1.0)
     contract = lambda lo, hi: lo @ dmat @ np.swapaxes(hi, -1, -2)
     return np.where(
         r[..., :, None] <= r_prime[..., None, :],
@@ -351,7 +353,9 @@ def g2_sector_kernel(ell: int, r, r_prime) -> np.ndarray:
     / (2 sqrt(ab)); s/(8 pi) gives the biharmonic [a^(l+2) / ((2l+3) b^(l+1))
     - a^l / ((2l-1) b^(l-1))] / (2 (2l+1)).  Where b <= _SERIES_RADIUS these
     cancel, and the kernel is the eta^2 derivative at eta = 0 of the series
-    form of free_sector_resolvent, whose matrix layout and radius-0 limit it shares.
+    form of free_sector_resolvent, whose matrix layout and radius-0 limit it
+    shares.  They cancel further out as l grows, so from l = 3 on the series
+    runs to b = min(1 + l/2, 4) with 20 terms, where both forms hold ~1e-13.
     """
     r, r_prime, x, a, b, ordered = _pairing(ell, r, r_prime)
     nu = ell + 0.5
@@ -365,15 +369,16 @@ def g2_sector_kernel(ell: int, r, r_prime) -> np.ndarray:
     kern += ordered(x**ell, x ** (-ell - 1.0) * (x * x / (2.0 * c * (2 * ell - 1)) - 2.0 / c))
     kern -= ordered(x ** (ell + 2.0), x ** (-ell - 1.0)) / (2.0 * c * (2 * ell + 3))
 
-    near_a, near_b = ra <= _SERIES_RADIUS, rb <= _SERIES_RADIUS
+    radius, terms = (_SERIES_RADIUS, _SERIES_TERMS) if ell <= 2 else (min(1.0 + 0.5 * ell, 4.0), 20)
+    near_a, near_b = ra <= radius, rb <= radius
     if near_a.any() and near_b.any():
         rows, cols = a[near_a], b[near_b]
         # d/d(eta^2) of D_n(eta^2, -1 - eta^2) at eta = 0, and of the odd
         # part (pi/2) (-1)^l I_nu(kappa a) I_nu(kappa b) / (sqrt(ab) (1 + 2 eta^2));
         # the clamp only keeps exp finite on radii the block never reads
-        n = np.arange(2 * _SERIES_TERMS)
+        n = np.arange(2 * terms)
         d = np.where(n >= 2, (2.0 - n) * (-1.0) ** n, 0.0)
-        grow = np.exp(np.minimum(x, _SERIES_RADIUS))
+        grow = np.exp(np.minimum(x, radius))
         u0, u1 = i0 * grow, i1 * grow
         odd = 0.5 * (np.outer(u1[rows], u0[cols]) + np.outer(u0[rows], u1[cols]))
         odd += (nu - 2.0) * np.outer(u0[rows], u0[cols])

@@ -14,8 +14,8 @@ k_l(kappa r>)] / (1 + 2 eta^2) of partial_waves.free_sector_resolvent
 (the addition theorems of DLMF 10.60), with no mu-quadrature.  A
 sandwich still needs M(eta) inverted at every energy, so a
 CorrectionCache samples the sector-resummed difference once per geometry
-on an eta grid, splines it, and every time sample integrates the cheap
-spline.  The cache, and G's second-kernel display, evaluate the kernel
+on an eta grid, fits a cubic, and every time sample integrates the
+cheap cubic.  The cache, and G's second-kernel display, evaluate the kernel
 and invert M for a whole chunk of eta nodes per sector in one stacked
 call each.  Only the + boundary is ever assembled: for real data the -
 boundary is its complex conjugate.
@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .birman_schwinger import (
     Potential,
@@ -411,12 +410,55 @@ def G_kernel(t: float, geometry: Geometry, data: ThresholdData) -> complex:
     return complex(value + _difference_display(t, geometry, data))
 
 
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients (4, n - 1, k) of the not-a-knot cubics through the columns of y (n, k).
+
+    Row j multiplies (eta - x_i)^(3 - j) on [x_i, x_(i+1)].  One dense solve
+    gives every column's knot slopes from the C2 conditions, closed by a
+    continuous third derivative across each second knot (de Boor, A
+    Practical Guide to Splines, ch. IV).
+    """
+    n, h = x.size, np.diff(x)
+    slope = np.diff(y, axis=0) / h[:, None]
+    a, b = np.zeros((n, n)), np.empty_like(y)
+    i = np.arange(1, n - 1)
+    a[i, i - 1], a[i, i], a[i, i + 1] = h[1:], 2.0 * (h[:-1] + h[1:]), h[:-1]
+    b[1:-1] = 3.0 * (h[1:, None] * slope[:-1] + h[:-1, None] * slope[1:])
+    lo, hi = x[2] - x[0], x[-1] - x[-3]
+    a[0, :2], a[-1, -2:] = (h[1], lo), (hi, h[-2])
+    b[0] = ((h[0] + 2.0 * lo) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / lo
+    b[-1] = (h[-1] ** 2 * slope[-2] + (2.0 * hi + h[-1]) * h[-2] * slope[-1]) / hi
+    s = np.linalg.solve(a, b)
+    curl = (s[:-1] + s[1:] - 2.0 * slope) / h[:, None]
+    return np.stack([curl / h[:, None], (slope - s[:-1]) / h[:, None] - curl, s[:-1], y[:-1]])
+
+
+def _cubic(x: np.ndarray, coefficients: np.ndarray, eta):
+    """Piecewise cubic of _not_a_knot at eta; the end polynomials continue past the knots.
+
+    np.interp searches from the previous node's interval, which suits the
+    panel order of quadrature nodes; "clip" sends eta >= x[-1] to the last
+    interval; blocks of 2^15 points keep the temporaries in the CPU cache.
+    """
+    eta = np.asarray(eta, dtype=float)
+    flat, value = eta.ravel(), np.empty(eta.size)
+    positions = np.arange(x.size, dtype=float)
+    for lo in range(0, flat.size, 1 << 15):
+        part = slice(lo, lo + (1 << 15))
+        i = np.interp(flat[part], x, positions).astype(np.intp)
+        dx = flat[part] - x[:-1].take(i, mode="clip")
+        c3, c2, c1, c0 = (c.take(i, mode="clip") for c in coefficients)
+        value[part] = ((c3 * dx + c2) * dx + c1) * dx + c0
+    return value.reshape(eta.shape)
+
+
 class CorrectionCache:
-    """Splined sector-resummed sandwich differences over the eta grid.
+    """Cubic fits of the sector-resummed sandwich differences over the eta grid.
 
     For each geometry the cache holds W_raw(eta) = eta * [resummed
     (+)-minus-(-) sandwich difference], which is bounded through the
-    threshold in every verdict, together with its limit W_raw(0+), the
+    threshold in every verdict and purely imaginary, as the not-a-knot
+    cubic of Im W_raw on eta_nodes, together with its limit W_raw(0+), the
     pole coefficient, sandwiched from build_threshold_data's zero-energy
     blocks; those blocks are kept as threshold_data, for F_kernel and
     G_kernel.  Per sector, each chunk of eta nodes (at most
@@ -446,11 +488,9 @@ class CorrectionCache:
             _CACHE_ETA_LOG_TOP + _CACHE_ETA_STEP, eta_top + 1e-12, _CACHE_ETA_STEP
         )
         self.eta_nodes = np.concatenate([log_part, lin_part])
-        self._splines = {}
-        self._profile = {}
         self._build()
         self.threshold_data = build_threshold_data(potential, grid, classification)
-        # a sector left out of the cache has no pole in its splines either
+        # a sector left out of the cache has no pole in its cubics either
         blocks = {ell: b for ell, b in self.threshold_data.pole_matrices.items() if ell <= ell_max}
         self._pole = {
             g: _pole_sandwich(g, self.threshold_data, blocks) if blocks else 0.0 + 0.0j
@@ -480,18 +520,19 @@ class CorrectionCache:
                 rows = kern[:, n:] * weight
                 sand = rows @ minv @ np.swapaxes(rows, 1, 2)
                 sand_im[:, ell, chunk] = sand[:, left, right].imag.T
-        for g, sand in zip(self.geometries, sand_im):
-            vals = 2j * self.eta_nodes * resum_sectors(sand, g.cos_gamma)
-            self._splines[g] = CubicSpline(self.eta_nodes, vals)
-            self._profile[g] = np.abs(vals)
+        # Im W_raw, one column per geometry
+        resummed = [resum_sectors(sand, g.cos_gamma) for g, sand in zip(self.geometries, sand_im)]
+        vals = 2.0 * self.eta_nodes[:, None] * np.stack(resummed, axis=1)
+        self._cubics = dict(zip(self.geometries, np.moveaxis(_not_a_knot(self.eta_nodes, vals), -1, 0)))
+        self._profile = dict(zip(self.geometries, np.abs(vals.T)))
 
     def pole_coefficient(self, geometry: Geometry) -> complex:
         """W_raw(0+) from the zero-energy pole blocks; exactly 0 without them."""
         return self._pole[geometry]
 
     def scaled_difference(self, geometry: Geometry):
-        """Spline of W_raw = eta * (sandwich difference), callable on arrays."""
-        return self._splines[geometry]
+        """Cubic of W_raw = eta * (sandwich difference), callable on scalars and arrays."""
+        return lambda eta: 1j * _cubic(self.eta_nodes, self._cubics[geometry], eta)
 
     def tail_cut(self, geometry: Geometry, t: float, target: float) -> float:
         """Smallest cached eta beyond which the neglected tail fits target.
@@ -506,7 +547,7 @@ class CorrectionCache:
         return float(self.eta_nodes[-1])
 
     def tail_bound(self, geometry: Geometry, t: float, eta_cut: float) -> float:
-        g_end = abs(self._splines[geometry](eta_cut)) / eta_cut
+        g_end = abs(self.scaled_difference(geometry)(eta_cut)) / eta_cut
         return 2.0 * g_end / abs(t)
 
 
@@ -553,7 +594,6 @@ def evolution_kernel(
     do_subtract = subtract == "auto" and verdict != "regular" and t > 1.0
 
     free = _free_kernel_result(t, geometry.separation, tol)
-    spline = cache.scaled_difference(geometry)
     pole = cache.pole_coefficient(geometry)
     shift = pole if do_subtract else 0.0 + 0.0j
 
@@ -562,14 +602,15 @@ def evolution_kernel(
     if eta_cut is None:
         eta_cut = cache.tail_cut(geometry, t, 2.0 * math.pi * target)
 
+    # W_raw and the pole are imaginary: the body integrates Im(W_raw - shift), times i
     def body_integrand(etas):
-        return (spline(etas) - shift) * (4.0 * etas**2 + 2.0)
+        return (_cubic(cache.eta_nodes, cache._cubics[geometry], etas) - shift.imag) * (4.0 * etas**2 + 2.0)
 
     plan = IntegrationPlan(t=t, interval=(0.0, float(eta_cut)), tol=tol, max_panels=max_panels)
     body = _integrate(body_integrand, plan)
     tail_bound = cache.tail_bound(geometry, t, eta_cut)
 
-    value = free.value - _STONE_PREFACTOR * body.value
+    value = free.value - _STONE_PREFACTOR * 1j * body.value
     est_error = free.error + abs(_STONE_PREFACTOR) * (
         body.error + tail_bound + _SPLINE_REL * abs(body.value)
     )

@@ -22,11 +22,13 @@ def test_all_names_exist(name):
     assert not missing, f"{name}.__all__ lists missing names {missing}"
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # the quadrature tables are hard-coded so that CLI start-up never pays
-    # for scipy.integrate; a fresh interpreter shows what an import loads
+def test_cli_import_leaves_scipy_submodules_unloaded():
+    # the quadrature tables are hard-coded and the correction cache fits its
+    # own cubic, so CLI start-up pays for scipy.special alone; a fresh
+    # interpreter shows what an import loads
     src = str(Path(fourthorder.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, fourthorder.cli; print('scipy.integrate' in sys.modules)"
+    heavy = ["scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.linalg"]
+    probe = f"import sys, fourthorder.cli; print([m for m in {heavy!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -144,6 +144,15 @@ class TestRun:
         assert "utc" not in doc and "elapsed" not in doc
         assert "written_utc" in meta and "elapsed_seconds" in meta
 
+    def test_meta_carries_phase_timings(self, tmp_path):
+        free = "experiment.name = free-decay\nwindow.t_lo = 10.0\nwindow.t_hi = 20.0\nwindow.samples = 5\nrgrid.count = 2\n"
+        phases = {"perturbed": ("classify", "cache", "samples", "write"), "free": ("samples", "write")}
+        for name, text in (("perturbed", PERTURBED + "grid.count = 16\n"), ("free", free)):
+            run(parse_config(text), tmp_path / name)
+            meta = json.loads((tmp_path / name / "report.meta.json").read_text())
+            assert sorted(meta["phase_seconds"]) == sorted(phases[name])
+            assert all(seconds >= 0.0 for seconds in meta["phase_seconds"].values())
+
     def test_expansion_reruns_byte_identical_across_threads(self, tmp_path):
         cfg = parse_config(EXPANSION)
         run(cfg, tmp_path / "a", threads=1)

@@ -241,20 +241,19 @@ class TestG2SectorKernel:
             assert err <= 1e-12 * np.max(np.abs(weights * want)), ell
 
     def test_matches_mpmath(self):
-        # entrywise, at the smallest n=64 nodes, on both sides of the series
-        # switch at r> = 2 and at the far end.  For l = 5 just past the
-        # switch the far form sums terms of size 1/((2l+1) r>) to a kernel
-        # ~2e3 times smaller (2.4e-12 relative at r> = 2.11), so that side
-        # has its own bound
+        # entrywise, at the smallest n=64 nodes, on both sides of r> = 2 (the
+        # series switch for l <= 2), at every node with r> in (2, 3), where
+        # from l = 3 on the far form cancels (3.4e-12 for l = 5 at r> = 2.01)
+        # and the series runs further out, and at the far end
         mp = pytest.importorskip("mpmath")
         nodes = build_grid(64, r_max=9.0).nodes
-        k = int(np.searchsorted(nodes, 2.0))
-        rows, cols = [0, 1, 2, k - 1, k], [0, 1, 2, k - 1, k, nodes.size - 1]
-        for ell in (0, 1, 2, 5):
+        k, k3 = (int(np.searchsorted(nodes, r)) for r in (2.0, 3.0))
+        rows, cols = [0, k - 1, k], [0, *range(k - 1, k3), nodes.size - 1]
+        for ell in range(7):
             got = g2_sector_kernel(ell, nodes[rows], nodes[cols])
             for (i, a), (j, b) in itertools.product(enumerate(nodes[rows]), enumerate(nodes[cols])):
                 want = _g2_reference(mp, ell, a, b)
-                bound = 5e-12 if ell == 5 and 2.0 < max(a, b) < 3.0 else 1e-13
+                bound = 3e-13 if ell >= 3 and 2.0 < max(a, b) < 3.0 else 1e-13
                 assert abs(got[i, j] - want) <= bound * abs(want), (ell, a, b)
 
     def test_small_radii_do_not_cancel(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from fourthorder.birman_schwinger import _projection
 from fourthorder.birman_schwinger import (
@@ -31,8 +32,10 @@ from fourthorder.propagator import (
 )
 from fourthorder.propagator import (
     _free_kernel_result,
+    _cubic,
     _fresnel_weight,
     _difference_display,
+    _not_a_knot,
     _pole_sandwich,
     _pole_tail,
     _ray_integral,
@@ -399,6 +402,45 @@ class TestStackedCache:
             sectors[ell] = _integrate(integrand, plan).value
         want = -STONE_PREFACTOR * resum_sectors(sectors, g.cos_gamma)
         assert _difference_display(t, g, eigenvalue_data) == pytest.approx(want, rel=1e-13)
+
+
+class TestNotAKnotCubic:
+    @staticmethod
+    def probes(x):
+        """Below the first knot, on and between knots, and less than a step above the last.
+
+        Farther out the extrapolated cubic term, set by slope differences
+        over one step, magnifies rounding like (distance / step)^3.
+        """
+        mids = 0.5 * (x[1:] + x[:-1])
+        return np.concatenate([[0.0, 0.5 * x[0]], x, mids, x[-1] + [0.005, 0.02]])
+
+    def test_reproduces_a_cubic(self, subcritical_cache):
+        # not-a-knot end conditions hold every cubic exactly, so only rounding remains
+        x = subcritical_cache.eta_nodes
+        cubic = lambda e: 0.7 - 1.3 * e + 0.45 * e**2 - 0.06 * e**3
+        coefficients = _not_a_knot(x, cubic(x)[:, None])[..., 0]
+        etas = self.probes(x)
+        want = cubic(etas)
+        assert np.max(np.abs(_cubic(x, coefficients, etas) - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_matches_scipy_cubic_spline(self, geometries, subcritical_cache, eigenvalue_cache):
+        # scipy's not-a-knot CubicSpline is the oracle, on the same knots and
+        # values; the dense sweep spans more than two evaluation blocks
+        for cache in (subcritical_cache, eigenvalue_cache):
+            x = cache.eta_nodes
+            etas = np.concatenate([self.probes(x), np.linspace(0.0, x[-1], 70001)])
+            for g in geometries:
+                w = cache.scaled_difference(g)
+                want = CubicSpline(x, w(x))(etas)
+                assert np.max(np.abs(w(etas) - want)) <= 1e-14 * np.max(np.abs(w(x)))
+
+    def test_scalar_input(self, geometries, subcritical_cache):
+        w = subcritical_cache.scaled_difference(geometries[0])
+        value = w(0.7)
+        assert np.ndim(value) == 0 and np.iscomplexobj(value)
+        assert complex(value) == w(np.array([0.7]))[0]
+        assert complex(value).real == 0.0
 
 
 class TestPoleTail:
