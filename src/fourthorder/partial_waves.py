@@ -66,11 +66,14 @@ __all__ = [
 # Classification probes sectors 0..2.
 ELL_MAX_CLASSIFY = 2
 
-# free_sector_resolvent and g2_sector_kernel sum the series where kappa * r>
-# is at most this; the terms there shrink like (kappa r / 2)^(2m) /
-# (m! Gamma(m - l + 1/2)), so _SERIES_TERMS of them reach rounding for every l
+# free_sector_resolvent, and g2_sector_kernel for l <= 2, sum the series where kappa r> <=
+# _SERIES_RADIUS; terms shrink like (kappa r / 2)^(2m) / (m! Gamma(m - l + 1/2)), so
+# _SERIES_TERMS reach rounding for every l.  From l = 3 on, g2's far form cancels further out:
+# its series runs to r> = min(1 + l/2, _G2_SERIES_RADIUS_CAP) with _G2_SERIES_TERMS terms
 _SERIES_RADIUS = 2.0
 _SERIES_TERMS = 16
+_G2_SERIES_RADIUS_CAP = 4.0
+_G2_SERIES_TERMS = 20
 
 
 def default_r_max(beta: float, floor: float = 1e-8) -> float:
@@ -353,9 +356,7 @@ def g2_sector_kernel(ell: int, r, r_prime) -> np.ndarray:
     / (2 sqrt(ab)); s/(8 pi) gives the biharmonic [a^(l+2) / ((2l+3) b^(l+1))
     - a^l / ((2l-1) b^(l-1))] / (2 (2l+1)).  Where b <= _SERIES_RADIUS these
     cancel, and the kernel is the eta^2 derivative at eta = 0 of the series
-    form of free_sector_resolvent, whose matrix layout and radius-0 limit it
-    shares.  They cancel further out as l grows, so from l = 3 on the series
-    runs to b = min(1 + l/2, 4) with 20 terms, where both forms hold ~1e-13.
+    form of free_sector_resolvent, whose layout and radius-0 limit it shares (l >= 3: _G2_SERIES_TERMS).
     """
     r, r_prime, x, a, b, ordered = _pairing(ell, r, r_prime)
     nu = ell + 0.5
@@ -369,7 +370,8 @@ def g2_sector_kernel(ell: int, r, r_prime) -> np.ndarray:
     kern += ordered(x**ell, x ** (-ell - 1.0) * (x * x / (2.0 * c * (2 * ell - 1)) - 2.0 / c))
     kern -= ordered(x ** (ell + 2.0), x ** (-ell - 1.0)) / (2.0 * c * (2 * ell + 3))
 
-    radius, terms = (_SERIES_RADIUS, _SERIES_TERMS) if ell <= 2 else (min(1.0 + 0.5 * ell, 4.0), 20)
+    far = (min(1.0 + 0.5 * ell, _G2_SERIES_RADIUS_CAP), _G2_SERIES_TERMS)
+    radius, terms = far if ell >= 3 else (_SERIES_RADIUS, _SERIES_TERMS)
     near_a, near_b = ra <= radius, rb <= radius
     if near_a.any() and near_b.any():
         rows, cols = a[near_a], b[near_b]

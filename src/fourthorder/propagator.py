@@ -413,10 +413,9 @@ def G_kernel(t: float, geometry: Geometry, data: ThresholdData) -> complex:
 def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Coefficients (4, n - 1, k) of the not-a-knot cubics through the columns of y (n, k).
 
-    Row j multiplies (eta - x_i)^(3 - j) on [x_i, x_(i+1)].  One dense solve
-    gives every column's knot slopes from the C2 conditions, closed by a
-    continuous third derivative across each second knot (de Boor, A
-    Practical Guide to Splines, ch. IV).
+    Row j multiplies (eta - x_i)^(3 - j) on [x_i, x_(i+1)].  One dense solve gives every column's
+    knot slopes from the C2 conditions, closed by a continuous third derivative across each
+    second knot (de Boor, A Practical Guide to Splines, ch. IV).
     """
     n, h = x.size, np.diff(x)
     slope = np.diff(y, axis=0) / h[:, None]
@@ -441,8 +440,7 @@ def _cubic(x: np.ndarray, coefficients: np.ndarray, eta):
     interval; blocks of 2^15 points keep the temporaries in the CPU cache.
     """
     eta = np.asarray(eta, dtype=float)
-    flat, value = eta.ravel(), np.empty(eta.size)
-    positions = np.arange(x.size, dtype=float)
+    flat, value, positions = eta.ravel(), np.empty(eta.size), np.arange(x.size, dtype=float)
     for lo in range(0, flat.size, 1 << 15):
         part = slice(lo, lo + (1 << 15))
         i = np.interp(flat[part], x, positions).astype(np.intp)
@@ -520,19 +518,22 @@ class CorrectionCache:
                 rows = kern[:, n:] * weight
                 sand = rows @ minv @ np.swapaxes(rows, 1, 2)
                 sand_im[:, ell, chunk] = sand[:, left, right].imag.T
-        # Im W_raw, one column per geometry
         resummed = [resum_sectors(sand, g.cos_gamma) for g, sand in zip(self.geometries, sand_im)]
-        vals = 2.0 * self.eta_nodes[:, None] * np.stack(resummed, axis=1)
-        self._cubics = dict(zip(self.geometries, np.moveaxis(_not_a_knot(self.eta_nodes, vals), -1, 0)))
-        self._profile = dict(zip(self.geometries, np.abs(vals.T)))
+        im_w = 2.0 * self.eta_nodes[:, None] * np.stack(resummed, axis=1)
+        self._cubics = dict(zip(self.geometries, np.moveaxis(_not_a_knot(self.eta_nodes, im_w), -1, 0)))
+        self._profile = dict(zip(self.geometries, np.abs(im_w.T)))
 
     def pole_coefficient(self, geometry: Geometry) -> complex:
         """W_raw(0+) from the zero-energy pole blocks; exactly 0 without them."""
         return self._pole[geometry]
 
+    def imag_difference(self, geometry: Geometry, eta):
+        """The real cubic of Im W_raw at eta, a scalar or an array; W_raw is purely imaginary."""
+        return _cubic(self.eta_nodes, self._cubics[geometry], eta)
+
     def scaled_difference(self, geometry: Geometry):
         """Cubic of W_raw = eta * (sandwich difference), callable on scalars and arrays."""
-        return lambda eta: 1j * _cubic(self.eta_nodes, self._cubics[geometry], eta)
+        return lambda eta: 1j * self.imag_difference(geometry, eta)
 
     def tail_cut(self, geometry: Geometry, t: float, target: float) -> float:
         """Smallest cached eta beyond which the neglected tail fits target.
@@ -604,7 +605,7 @@ def evolution_kernel(
 
     # W_raw and the pole are imaginary: the body integrates Im(W_raw - shift), times i
     def body_integrand(etas):
-        return (_cubic(cache.eta_nodes, cache._cubics[geometry], etas) - shift.imag) * (4.0 * etas**2 + 2.0)
+        return (cache.imag_difference(geometry, etas) - shift.imag) * (4.0 * etas**2 + 2.0)
 
     plan = IntegrationPlan(t=t, interval=(0.0, float(eta_cut)), tol=tol, max_panels=max_panels)
     body = _integrate(body_integrand, plan)

@@ -21,7 +21,7 @@ from scipy.interpolate import CubicSpline
 from fourthorder import oscillatory, propagator
 from fourthorder.birman_schwinger import classify, make_potential
 from fourthorder.partial_waves import build_grid
-from fourthorder.propagator import CorrectionCache, Geometry, _cubic, evolution_kernel
+from fourthorder.propagator import CorrectionCache, Geometry, evolution_kernel
 
 
 def body_integrand(cache, geometry, t):
@@ -61,13 +61,13 @@ def main():
     mids, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     eta = (mids[:, None] + halves[:, None] * oscillatory._GK_NODES).ravel()
 
-    worst = np.max(np.abs(spline(eta) - 1j * _cubic(x, cache._cubics[geometry], eta)))
+    worst = np.max(np.abs(spline(eta) - 1j * cache.imag_difference(geometry, eta)))
     print(f"{eta.size} nodes, {x.size} knots; max |CubicSpline - own cubic| / max|W| = "
           f"{worst / np.max(np.abs(spline(x))):.1e}")
     cases = {
         "CubicSpline(eta)": lambda: spline(eta),
         "(CubicSpline(eta) - shift) (4 eta^2 + 2)": lambda: (spline(eta) - shift) * (4.0 * eta**2 + 2.0),
-        "own cubic (real)": lambda: _cubic(x, cache._cubics[geometry], eta),
+        "own cubic (real)": lambda: cache.imag_difference(geometry, eta),
         "body integrand with the own cubic": lambda: np.asarray(integrand(eta), dtype=complex),
     }
     for name, ms in median_ms(cases).items():

@@ -248,7 +248,7 @@ class TestG2SectorKernel:
         mp = pytest.importorskip("mpmath")
         nodes = build_grid(64, r_max=9.0).nodes
         k, k3 = (int(np.searchsorted(nodes, r)) for r in (2.0, 3.0))
-        rows, cols = [0, k - 1, k], [0, *range(k - 1, k3), nodes.size - 1]
+        rows, cols = [0, 1, 2, k - 1, k], [0, 1, 2, *range(k - 1, k3), nodes.size - 1]
         for ell in range(7):
             got = g2_sector_kernel(ell, nodes[rows], nodes[cols])
             for (i, a), (j, b) in itertools.product(enumerate(nodes[rows]), enumerate(nodes[cols])):
