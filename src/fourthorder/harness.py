@@ -23,7 +23,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .birman_schwinger import classify, make_potential, resonance_tune
 from .decayfit import fit_decay
@@ -313,7 +312,6 @@ def _versions() -> dict:
     return {
         "fourthorder": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": platform.python_version(),
     }
 

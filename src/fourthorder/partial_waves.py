@@ -26,7 +26,18 @@ kappa = sqrt(1 + eta^2).  free_sector_resolvent evaluates it, for one
 eta or stacked over an array of them, from cylinder functions of order
 l + 1/2, the modified ones exponentially scaled so that kappa * r_max ~
 1e4 stays finite; at eta = 0 the oscillatory term is r<^l / ((2l+1)
-r>^(l+1)).  Where kappa * r> is small
+r>^(l+1)).  At order l + 1/2 these functions are elementary (DLMF 10.47,
+10.49), and this module evaluates them itself:
+
+    K e^z    the finite sum sqrt(pi/2z) Sum_{k<=l} (l+k)!/(k!(l-k)!) (2z)^-k;
+    I e^-z   the power series, all terms positive, for z <= l + 8 + l^2/16,
+             above it the same finite sum at -1/(2z) with an e^{-2z} term;
+    Y        upward recurrence from orders -1/2 and 1/2, which is stable;
+    J        the power series for z <= l, above it the recurrence of Y,
+             both run together as the Hankel function J + iY.
+
+The power series share one coefficient table with the divided-difference
+sum below.  Where kappa * r> is small
 the two terms cancel to a value of relative size (kappa r>)^2, so there
 the kernel is summed instead as a divided difference in k^2 of the
 addition-theorem series, which is free of that cancellation.
@@ -43,11 +54,12 @@ is its Nystrom matrix on a grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ive, jv, kve, rgamma, yv
+from numpy.polynomial.legendre import leggauss
 
 from .kernels import FOUR_PI, _sign_factor, expansion_G, free_resolvent
 
@@ -74,6 +86,12 @@ _SERIES_RADIUS = 2.0
 _SERIES_TERMS = 16
 _G2_SERIES_RADIUS_CAP = 4.0
 _G2_SERIES_TERMS = 20
+
+
+def _i_series_reach(ell: int) -> float:
+    # the closed form of I_(l+1/2)(z) e^-z loses about exp((l + 1/2)^2 / 2z) to cancellation:
+    # from here on under 3e-14 for l <= 20; from z = l + 8 on, 1.7e-14 at l = 11, 1.7e-11 at l = 20
+    return ell + 8.0 + ell * ell / 16.0
 
 
 def default_r_max(beta: float, floor: float = 1e-8) -> float:
@@ -127,7 +145,7 @@ def build_grid(count: int, r_max: float | None = None, beta: float | None = None
         r_max = default_r_max(beta)
     if not (r_max > 0.0 and np.isfinite(r_max)):
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
-    x, w = np.polynomial.legendre.leggauss(count)
+    x, w = leggauss(count)
     nodes = 0.5 * r_max * (x + 1.0)
     weights = 0.5 * r_max * w
     return RadialGrid(nodes=nodes, weights=weights, r_max=float(r_max), count=count)
@@ -159,7 +177,7 @@ def _n_mu_default(ell: int, oscillation: float = 0.0) -> int:
 
 @lru_cache(maxsize=256)
 def _gauss_rule(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = leggauss(order)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -200,12 +218,72 @@ def legendre_project(kernel, ell: int, r, r_prime, n_mu: int | None = None):
 
 @lru_cache(maxsize=64)
 def _series_coefficients(order: float, terms: int) -> np.ndarray:
-    """The first terms c_m with j_order(z) = z^order * Sum_m c_m z^(2m), for half-odd 2*order."""
-    m = np.arange(terms)
-    fact = np.cumprod(np.maximum(m, 1))
-    coef = 0.5 * np.sqrt(np.pi) * 2.0**-order * (-0.25) ** m / fact * rgamma(order + m + 1.5)
+    """The first terms c_m with j_order(z) = z^order * Sum_m c_m z^(2m), for whole-number order.
+
+    c_m = sqrt(pi) 2^(-order-1) (-1/4)^m / (m! Gamma(order + m + 3/2)); |c_m| serve i_order.
+    """
+    coef = np.empty(terms)
+    coef[0] = 0.5 * math.sqrt(math.pi) * 2.0**-order / math.gamma(order + 1.5)
+    for m in range(1, terms):
+        coef[m] = coef[m - 1] * -0.25 / (m * (order + m + 0.5))
     coef.setflags(write=False)
     return coef
+
+
+@lru_cache(maxsize=64)
+def _closed_form_coefficients(ell: int) -> np.ndarray:
+    """(l + k)! / (k! (l - k)!) for k = 0..l: K_(l+1/2)(z) = sqrt(pi/2z) e^-z Sum_k b_k (2z)^-k."""
+    coef = np.ones(ell + 1)
+    for k in range(ell):
+        coef[k + 1] = coef[k] * (ell + k + 1) * (ell - k) / (k + 1)
+    coef.setflags(write=False)
+    return coef
+
+
+def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Sum_k coef[k] x^k, in place on one array."""
+    out = np.full_like(x, coef[-1])
+    for c in coef[-2::-1].tolist():
+        out *= x
+        out += c
+    return out
+
+
+def _power_series(ell: int, z: np.ndarray, modified: bool) -> np.ndarray:
+    """sqrt(2z/pi) z^l Sum_m c_m z^(2m): I_(l+1/2)(z) if modified, with |c_m|, else J_(l+1/2)(z).
+
+    2 l + 22 terms reach rounding out to _i_series_reach(l), l + 12 out to l.
+    """
+    coef = np.abs(_series_coefficients(ell, 2 * ell + 22)) if modified else _series_coefficients(ell, ell + 12)
+    return np.sqrt(2.0 * z / np.pi) * z**ell * _horner(coef, z * z)
+
+
+def _modified_bessel(ell: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """I_(l+1/2)(z) e^-z and K_(l+1/2)(z) e^z for z > 0, by the forms in the module docstring."""
+    z = np.asarray(z, dtype=float)
+    b, u = _closed_form_coefficients(ell), 0.5 / z
+    k_scaled = np.sqrt(np.pi * u) * _horner(b, u)
+    i_scaled = np.empty_like(z)
+    near = z <= _i_series_reach(ell)
+    i_scaled[near] = _power_series(ell, z[near], modified=True) * np.exp(-z[near])
+    u = u[~near]
+    i_scaled[~near] = (_horner(b, -u) - (-1) ** ell * np.exp(-1.0 / u) * _horner(b, u)) * np.sqrt(u / np.pi)
+    return i_scaled, k_scaled
+
+
+def _bessel(ell: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J_(l+1/2)(z) and Y_(l+1/2)(z) for z > 0, by the forms in the module docstring."""
+    z = np.asarray(z, dtype=float)
+    below = np.sqrt(2.0 / (np.pi * z)) * np.exp(1j * z)  # H^(1) of order -1/2
+    hankel = -1j * below
+    for n in range(ell):
+        below, hankel = hankel, (2 * n + 1) / z * hankel - below
+    j = hankel.real.copy()
+    # to z = l both forms keep J within 5e-15 of itself for l <= 11; past it the series
+    # cancels (4e-14 by z = l + 2 at l = 11), below it the recurrence's error grows as |Y/J|
+    near = z <= ell
+    j[near] = _power_series(ell, z[near], modified=False)
+    return j, hankel.imag.copy()
 
 
 @lru_cache(maxsize=64)
@@ -303,19 +381,19 @@ def free_sector_resolvent(sign, eta, ell: int, r, r_prime) -> np.ndarray:
     eta = np.atleast_1d(etas)[:, None]  # one row per energy, against x
     e2 = eta * eta
     kappa = np.sqrt(1.0 + e2)
-    nu = ell + 0.5
 
     # radial factors on the distinct radii, each divided by sqrt(radius):
     # regular and outgoing oscillatory ones, exponentially scaled modified
     # ones; eta = 0 rows take the static r<^l / ((2l+1) r>^(l+1))
     root = np.sqrt(x)
-    i_scaled, k_scaled = ive(nu, kappa * x) / root, kve(nu, kappa * x) / root
+    i_scaled, k_scaled = (f / root for f in _modified_bessel(ell, kappa * x))
     j_reg = np.zeros(kappa.shape[:1] + x.shape)
     reg, out = np.empty_like(j_reg, dtype=complex), np.empty_like(j_reg, dtype=complex)
     live = eta[:, 0] > 0.0
-    arg = eta[live] * x
-    j_reg[live] = j_live = jv(nu, arg) / root
-    reg[live], out[live] = 0.5j * np.pi * s * j_live, j_live + 1j * s * yv(nu, arg) / root
+    if live.any():
+        j_live, y_live = (f / root for f in _bessel(ell, eta[live] * x))
+        j_reg[live] = j_live
+        reg[live], out[live] = 0.5j * np.pi * s * j_live, j_live + 1j * s * y_live
     reg[~live], out[~live] = x**ell / (2 * ell + 1), x ** (-ell - 1.0)
     ra, rb = x[a], x[b]
     decaying = ordered(i_scaled, k_scaled) * np.exp(-kappa[:, :, None] * np.abs(ra[:, None] - rb[None, :]))
@@ -361,8 +439,8 @@ def g2_sector_kernel(ell: int, r, r_prime) -> np.ndarray:
     r, r_prime, x, a, b, ordered = _pairing(ell, r, r_prime)
     nu = ell + 0.5
     root = np.sqrt(x)
-    i0, k0 = ive(nu, x) / root, kve(nu, x) / root
-    i1, k1 = root * ive(nu + 1.0, x), root * kve(nu + 1.0, x)
+    i0, k0 = (f / root for f in _modified_bessel(ell, x))
+    i1, k1 = (root * f for f in _modified_bessel(ell + 1, x))
     ra, rb = x[a], x[b]
     c = 2.0 * ell + 1.0
     bessel = (2.0 - nu) * ordered(i0, k0) - 0.5 * ordered(i1, k0) + 0.5 * ordered(i0, k1)

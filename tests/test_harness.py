@@ -135,7 +135,7 @@ class TestRun:
         assert doc["experiment"] == "classify"
         assert doc["verdict"] == "regular"
         assert doc["assertions"][0]["pass"] is True
-        assert set(doc["versions"]) == {"fourthorder", "numpy", "scipy", "python"}
+        assert set(doc["versions"]) == {"fourthorder", "numpy", "python"}
 
     def test_json_carries_no_timestamp(self, tmp_path):
         run(parse_config(CLASSIFY_ZERO), tmp_path)

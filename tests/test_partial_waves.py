@@ -7,6 +7,9 @@ from scipy.integrate import quad
 from fourthorder.kernels import MINUS, PLUS, expansion_G, free_resolvent
 from fourthorder.partial_waves import (
     RadialGrid,
+    _bessel,
+    _i_series_reach,
+    _modified_bessel,
     build_grid,
     build_sector_operator,
     default_r_max,
@@ -136,6 +139,59 @@ class TestLegendreProject:
             legendre_project(newton, 4, 1.0, 2.0, n_mu=10)
         with pytest.raises(ValueError):
             legendre_project(lambda s: np.full_like(s, np.nan), 0, 1.0, 2.0)
+
+
+class TestHalfIntegerBessel:
+    """The sector kernels' own I e^-z, K e^z, J and Y of order l + 1/2."""
+
+    @staticmethod
+    def _switches(ell):
+        # 1e-9 on either side of the I and J series/closed-form switches, and
+        # every 1/8 within 2 of them, where each form is least accurate
+        near = [np.linspace(x - 2.0, x + 2.0, 33) for x in (_i_series_reach(ell), ell)]
+        z = np.concatenate(near + [[x + d for x in (_i_series_reach(ell), ell) for d in (-1e-9, 1e-9)]])
+        return z[z > 0.0]
+
+    def test_matches_mpmath(self):
+        # 30-digit values on a log grid, 12 points a decade; J and Y are
+        # measured against their envelope sqrt(J^2 + Y^2), and J below
+        # l + 2, short of its first zero, against itself as well
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            for ell in range(12):
+                nu = mp.mpf(ell) + 0.5
+                z = np.sort(np.concatenate([np.geomspace(1e-6, 1e4, 121), self._switches(ell)]))
+                i_scaled, k_scaled = _modified_bessel(ell, z)
+                want_i = np.array([float(mp.besseli(nu, x) * mp.exp(-x)) for x in map(mp.mpf, z)])
+                want_k = np.array([float(mp.besselk(nu, x) * mp.exp(x)) for x in map(mp.mpf, z)])
+                assert np.max(np.abs(i_scaled / want_i - 1.0)) <= 2e-14, ell
+                assert np.max(np.abs(k_scaled / want_k - 1.0)) <= 2e-14, ell
+                z = z[z <= 500.0]
+                j, y = _bessel(ell, z)
+                want_j = np.array([float(mp.besselj(nu, x)) for x in map(mp.mpf, z)])
+                want_y = np.array([float(mp.bessely(nu, x)) for x in map(mp.mpf, z)])
+                envelope = np.hypot(want_j, want_y)
+                assert np.max(np.abs(j - want_j) / envelope) <= 2e-14, ell
+                assert np.max(np.abs(y - want_y) / envelope) <= 2e-14, ell
+                below = z <= ell + 2.0
+                assert np.max(np.abs(j[below] / want_j[below] - 1.0)) <= 2e-14, ell
+
+    def test_matches_scipy(self):
+        # about 1e5 points; scipy's own ive and jv are off by up to 4e-14
+        # against mpmath (ive at z = 20 for l = 0, jv at z = 14)
+        special = pytest.importorskip("scipy.special")
+        for ell in range(12):
+            nu = ell + 0.5
+            z = np.sort(np.concatenate([np.geomspace(1e-6, 1e4, 8000), self._switches(ell)]))
+            i_scaled, k_scaled = _modified_bessel(ell, z)
+            assert np.max(np.abs(i_scaled / special.ive(nu, z) - 1.0)) <= 1e-13, ell
+            assert np.max(np.abs(k_scaled / special.kve(nu, z) - 1.0)) <= 1e-13, ell
+            z = z[z <= 500.0]
+            j, y = _bessel(ell, z)
+            want_j, want_y = special.jv(nu, z), special.yv(nu, z)
+            envelope = np.hypot(want_j, want_y)
+            assert np.max(np.abs(j - want_j) / envelope) <= 1e-13, ell
+            assert np.max(np.abs(y - want_y) / envelope) <= 1e-13, ell
 
 
 class TestFreeSectorResolvent:
