@@ -1,10 +1,15 @@
-"""Oscillation-aware quadrature for spectral integrals.
+"""Oscillation-aware panel quadrature for spectral integrals.
 
-All time evolution in this package is synthesized from integrals of the form
+Real-axis panels for Stone integrals of the form
 
     I(t) = ∫ e^{-it(eta^4+eta^2)} f(eta) (4 eta^3 + 2 eta) d eta.
 
-The substitution u = eta^4 + eta^2 makes the phase exactly linear in u, so
+They serve the free kernel for |t| <= 1, or where its rotated ray
+misses the tolerance (with its certified tail), the
+eigenvalue correction's second-kernel display and the tests' oracles.
+Their cost grows with t, so the evolution kernel's cubic body and the
+free kernel for |t| > 1 use fixed rules in propagator instead.  The
+substitution u = eta^4 + eta^2 makes the phase exactly linear in u, so
 there is no stationary-phase machinery here: panels are chosen to span at
 most one oscillation period in u (plus a cap on their eta-width so the
 amplitude stays resolved) and the Gauss-Kronrod (10, 21) pair does the

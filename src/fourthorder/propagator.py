@@ -15,7 +15,14 @@ k_l(kappa r>)] / (1 + 2 eta^2) of partial_waves.free_sector_resolvent
 sandwich still needs M(eta) inverted at every energy, so a
 CorrectionCache samples the sector-resummed difference once per geometry
 on an eta grid, fits a cubic, and every time sample integrates the
-cheap cubic.  The cache, and G's second-kernel display, evaluate the kernel
+cheap cubic up to the cache top.  That body is a polynomial times
+e^{-it lambda} on each knot interval, so it is integrated one interval
+at a time: Levin collocation (Levin, Math. Comp. 38, 1982), every
+interval in one stacked solve, or Gauss-Legendre where t Delta lambda < 1.
+Its cost does not depend on t: on the regular n=16 well a sample took
+105 ms at t = 1e3 and 237 ms at t = 3e3 on real-axis panels, and takes
+about 4 ms at every t from 1e2 to 1e5 (one BLAS thread, 2-core x86
+machine).  The cache, and G's second-kernel display, evaluate the kernel
 and invert M for a whole chunk of eta nodes per sector in one stacked
 call each.  Only the + boundary is ever assembled: for real data the -
 boundary is its complex conjugate.
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,14 +59,9 @@ from .birman_schwinger import (
     build_P,
     jn_invert,
 )
+from .errors import ConvergenceError
 from .kernels import FOUR_PI, MINUS, PLUS, _sign_factor, free_resolvent, free_resolvent_diff
-from .oscillatory import (
-    DEFAULT_MAX_PANELS,
-    IntegrationPlan,
-    QuadResult,
-    _integrate,
-    improper_tail,
-)
+from .oscillatory import IntegrationPlan, QuadResult, _integrate, improper_tail
 from .partial_waves import (
     ELL_MAX_CLASSIFY,
     RadialGrid,
@@ -450,6 +453,84 @@ def _cubic(x: np.ndarray, coefficients: np.ndarray, eta):
     return value.reshape(eta.shape)
 
 
+# collocation and Gauss orders of _levin_integral; their difference is the estimate
+_LEVIN_ORDERS = (10, 14)
+# largest ratio of a Levin piece's ends beside eta = 0, near the cache's log knots' 1.49
+_LEVIN_RATIO = 1.5
+
+
+@lru_cache(maxsize=None)
+def _lobatto(order: int):
+    """Chebyshev-Lobatto points of [-1, 1], ascending, and their differentiation matrix.
+
+    The matrix is Trefethen's cheb (Spectral Methods in MATLAB, SIAM
+    2000, ch. 6), its diagonal the negative row sums.
+    """
+    k = np.arange(order)
+    x = -np.cos(np.pi * k / (order - 1))
+    c = np.where((k == 0) | (k == order - 1), 2.0, 1.0) * (-1.0) ** k
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(order))
+    d -= np.diag(d.sum(axis=1))
+    x.setflags(write=False)
+    d.setflags(write=False)
+    return x, d
+
+
+def _levin_integral(t: float, edges: np.ndarray, amplitude, tol: float) -> QuadResult:
+    """int of amplitude(eta) e^{-it lambda(eta)} over [edges[0], edges[-1]], one piece at a time.
+
+    amplitude must be vectorised and smooth on each [edges[i],
+    edges[i + 1]], as the cache's cubic is between its knots.  Every
+    piece [a, b] with t Delta lambda >= 1 takes Levin collocation (Levin,
+    Math. Comp. 38, 1982; Iserles & Norsett, Proc. R. Soc. A 461, 2005):
+    p' - it lambda' p = f at the Chebyshev-Lobatto points of [a, b] gives
+    int_a^b f e^{-it lambda} = [p e^{-it lambda}]_a^b at a cost
+    independent of t, all pieces in one stacked solve.  The other pieces
+    take Gauss-Legendre of the same orders.  When edges[0]
+    is 0, the stationary point of lambda, the first piece ends where
+    t lambda = 1 at the latest, so Levin never meets it.  The error is
+    the difference of the two orders plus eps times the summed sizes of
+    the terms added; ConvergenceError is raised when it misses
+    tol * (1 + |value|).
+    """
+    edges = np.asarray(edges, dtype=float)
+    if edges[0] == 0.0 and t * lambda_of_eta(edges[1]) > 1.0:
+        # the first piece ends at t lambda = 1; up to edges[1] the pieces grow
+        # by at most _LEVIN_RATIO, so each stays clear of the stationary point
+        start = float(eta_of_lambda(1.0 / t))
+        count = math.ceil(math.log(edges[1] / start) / math.log(_LEVIN_RATIO))
+        edges = np.insert(edges, 1, np.geomspace(start, edges[1], count + 1)[:-1])
+    lam = lambda_of_eta(edges)
+    mids, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    slow = t * np.diff(lam) < 1.0
+    # [0, eta_1] spans t lambda = 1 up to rounding
+    slow[0] |= edges[0] == 0.0
+    phase = np.exp(-1j * t * lam)
+    ends = np.stack([phase[:-1], phase[1:]], axis=1)[~slow]
+    sums = []
+    for order in _LEVIN_ORDERS:
+        x, w = _gauss_rule(order)
+        y, d = _lobatto(order)
+        eta = mids[:, None] + halves[:, None] * np.where(slow[:, None], x, y)
+        f = amplitude(eta.ravel()).reshape(eta.shape)
+        gauss = halves[slow, None] * w * f[slow] * np.exp(-1j * t * lambda_of_eta(eta[slow]))
+        system = (d / halves[~slow, None, None]).astype(complex)
+        # the diagonal of each stacked matrix takes -it lambda'
+        system.reshape(-1, order * order)[:, :: order + 1] -= 1j * t * stone_jacobian(eta[~slow])
+        p = np.linalg.solve(system, f[~slow, :, None])[..., 0]
+        terms = p[:, [0, -1]] * ends * (-1.0, 1.0)
+        sums.append((np.sum(gauss) + np.sum(terms), np.sum(np.abs(gauss)) + np.sum(np.abs(terms))))
+    (low, _), (value, size) = sums
+    error = abs(value - low) + np.finfo(float).eps * size
+    if not error <= tol * (1.0 + abs(value)):
+        raise ConvergenceError(
+            f"Levin rule error {error:.3e} above tol on [{edges[0]}, {edges[-1]}] at t={t}",
+            best_estimate=complex(value),
+            achieved_error=float(error),
+        )
+    return QuadResult(value=complex(value), error=float(error), panels=0)
+
+
 class CorrectionCache:
     """Cubic fits of the sector-resummed sandwich differences over the eta grid.
 
@@ -521,7 +602,6 @@ class CorrectionCache:
         resummed = [resum_sectors(sand, g.cos_gamma) for g, sand in zip(self.geometries, sand_im)]
         im_w = 2.0 * self.eta_nodes[:, None] * np.stack(resummed, axis=1)
         self._cubics = dict(zip(self.geometries, np.moveaxis(_not_a_knot(self.eta_nodes, im_w), -1, 0)))
-        self._profile = dict(zip(self.geometries, np.abs(im_w.T)))
 
     def pole_coefficient(self, geometry: Geometry) -> complex:
         """W_raw(0+) from the zero-energy pole blocks; exactly 0 without them."""
@@ -534,18 +614,6 @@ class CorrectionCache:
     def scaled_difference(self, geometry: Geometry):
         """Cubic of W_raw = eta * (sandwich difference), callable on scalars and arrays."""
         return lambda eta: 1j * self.imag_difference(geometry, eta)
-
-    def tail_cut(self, geometry: Geometry, t: float, target: float) -> float:
-        """Smallest cached eta beyond which the neglected tail fits target.
-
-        Only the cached difference is ever neglected past the cut; the
-        pole part has its own closed tail, so the profile is unshifted.
-        """
-        bound = 2.0 * self._profile[geometry] / (self.eta_nodes * abs(t))
-        eligible = (self.eta_nodes >= 1.0) & (bound <= target)
-        if eligible.any():
-            return float(self.eta_nodes[np.argmax(eligible)])
-        return float(self.eta_nodes[-1])
 
     def tail_bound(self, geometry: Geometry, t: float, eta_cut: float) -> float:
         g_end = abs(self.scaled_difference(geometry)(eta_cut)) / eta_cut
@@ -575,7 +643,6 @@ def evolution_kernel(
     subtract: str = "auto",
     tol: float = 1e-8,
     eta_cut: float | None = None,
-    max_panels: int = DEFAULT_MAX_PANELS,
 ) -> PropagatorSample:
     """Evolution kernel sample, optionally with the threshold pole removed.
 
@@ -583,7 +650,10 @@ def evolution_kernel(
     Stone integral of the pole part pole(eta) = W_raw(0+) / eta, with
     W_raw(0+) the cache's pole coefficient from the zero-energy blocks of
     build_threshold_data; the remaining integrand is regular at eta = 0
-    and the removed amount is reported as the sample's correction.
+    and the removed amount is reported as the sample's correction.  The
+    cubic body is integrated up to eta_cut, by default the cache top,
+    one knot interval at a time (_levin_integral), so its cost does not
+    depend on t; ConvergenceError is raised when its estimate misses tol.
     """
     if subtract not in ("none", "auto"):
         raise ValueError(f"subtract must be 'none' or 'auto', got {subtract!r}")
@@ -591,6 +661,10 @@ def evolution_kernel(
         raise ValueError("time must be positive")
     if geometry not in cache.geometries:
         raise ValueError(f"{geometry} is not in the correction cache")
+    knots = cache.eta_nodes
+    eta_cut = float(knots[-1] if eta_cut is None else eta_cut)
+    if not eta_cut > 0.0:
+        raise ValueError("eta_cut must be positive")
     verdict = cache.classification.verdict
     do_subtract = subtract == "auto" and verdict != "regular" and t > 1.0
 
@@ -598,17 +672,12 @@ def evolution_kernel(
     pole = cache.pole_coefficient(geometry)
     shift = pole if do_subtract else 0.0 + 0.0j
 
-    scale = abs(free.value) + abs(pole - shift) / math.sqrt(max(t, 1.0))
-    target = 1e-4 * scale + 0.1 * tol
-    if eta_cut is None:
-        eta_cut = cache.tail_cut(geometry, t, 2.0 * math.pi * target)
-
     # W_raw and the pole are imaginary: the body integrates Im(W_raw - shift), times i
     def body_integrand(etas):
         return (cache.imag_difference(geometry, etas) - shift.imag) * (4.0 * etas**2 + 2.0)
 
-    plan = IntegrationPlan(t=t, interval=(0.0, float(eta_cut)), tol=tol, max_panels=max_panels)
-    body = _integrate(body_integrand, plan)
+    edges = np.concatenate([[0.0], knots[knots < eta_cut], [eta_cut]])
+    body = _levin_integral(t, edges, body_integrand, tol)
     tail_bound = cache.tail_bound(geometry, t, eta_cut)
 
     value = free.value - _STONE_PREFACTOR * 1j * body.value
@@ -621,7 +690,7 @@ def evolution_kernel(
     if do_subtract:
         # the pole's own tail is kept in closed form, so the shifted body
         # plus this term subtracts the pole over the full energy range
-        pole_tail = _pole_tail(t, float(eta_cut))
+        pole_tail = _pole_tail(t, eta_cut)
         weight = _fresnel_weight(t)
         value += _STONE_PREFACTOR * shift * pole_tail.value
         correction = -_STONE_PREFACTOR * shift * weight.value

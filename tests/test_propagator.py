@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -35,6 +36,8 @@ from fourthorder.propagator import (
     _cubic,
     _fresnel_weight,
     _difference_display,
+    _levin_integral,
+    _lobatto,
     _not_a_knot,
     _pole_sandwich,
     _pole_tail,
@@ -441,6 +444,161 @@ class TestNotAKnotCubic:
         assert np.ndim(value) == 0 and np.iscomplexobj(value)
         assert complex(value) == w(np.array([0.7]))[0]
         assert complex(value).real == 0.0
+
+
+def knot_gauss(t, edges, amplitude, order=64, phase=96.0):
+    """Independent oracle for int amplitude(eta) e^{-it lambda(eta)} d eta over the edges' span.
+
+    Gauss-Legendre of the given order on equal sub-panels of each
+    interval [edges[i], edges[i + 1]], each spanning at most `phase`
+    radians of t lambda; 64 nodes resolve 96 radians to rounding.  Each
+    node's phase is the knot's t lambda(a), plus the sub-panel edge's
+    offset t (lambda(e) - lambda(a)), both reduced mod 2 pi, plus the
+    local t (lambda(eta) - lambda(e)), the differences in factored form,
+    so the rounding of a large phase is shared by a sub-panel instead of
+    falling on each node.  Returns the value and a first-order rounding
+    bound: eps times each phase part weighted by the sum it multiplies.
+    """
+    lam = lambda e: e * e * (e * e + 1.0)
+    dlam = lambda u, v: (u - v) * (u + v) * (u * u + v * v + 1.0)
+    x, w = np.polynomial.legendre.leggauss(order)
+    eps = np.finfo(float).eps
+    total, bound = 0.0 + 0.0j, 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        count = max(1, math.ceil(t * b * (4.0 * b * b + 2.0) * (b - a) / phase))
+        e = a + (b - a) * np.arange(count + 1) / count
+        e[-1] = b
+        lo, half = e[:-1, None], 0.5 * np.diff(e)[:, None]
+        d = half * (x + 1.0)
+        eta = lo + d
+        knot, offset = t * lam(a), t * dlam(lo, a)
+        local = t * d * (eta + lo) * (eta * eta + lo * lo + 1.0)
+        base = np.fmod(knot, 2.0 * math.pi) + np.fmod(offset, 2.0 * math.pi)
+        terms = half * w * amplitude(eta.ravel()).reshape(eta.shape) * np.exp(-1j * (base + local))
+        sub = terms.sum(axis=1)
+        total += sub.sum()
+        bound += eps * (
+            4.0 * abs(sub.sum()) * knot
+            + 6.0 * np.sum(np.abs(sub) * offset[:, 0])
+            + np.sum(np.abs(terms) * (32.0 + 4.0 * local))
+        )
+    return total, bound
+
+
+def body_edges(cache, cut):
+    """The knot intervals evolution_kernel integrates the body over, up to cut."""
+    knots = cache.eta_nodes
+    return np.concatenate([[0.0], knots[knots < cut], [cut]])
+
+
+def shifted_body(cache, geometry):
+    """The body integrand Im(W_raw - shift) (4 eta^2 + 2) of evolution_kernel, shifted by the pole."""
+    pole = cache.pole_coefficient(geometry).imag
+    return lambda eta: (cache.imag_difference(geometry, eta) - pole) * (4.0 * eta**2 + 2.0)
+
+
+def shift_rounding(cache, geometry, cut):
+    """How far two rules may differ on the shifted body through its own rounding.
+
+    Near eta = 0, Im W_raw - shift cancels to a few eps |shift|, so rules
+    sampling it at different nodes may differ by that much times
+    int_0^cut (4 eta^2 + 2) d eta.
+    """
+    pole = abs(cache.pole_coefficient(geometry))
+    return 4.0 * np.finfo(float).eps * pole * (4.0 * cut**3 / 3.0 + 2.0 * cut)
+
+
+@pytest.fixture(scope="module")
+def regular16():
+    """The regular n=16 well and geometry of the regular-late workload, on the default cache."""
+    grid = build_grid(16, r_max=9.0)
+    well = make_potential("gaussian", -1.0)
+    geometry = Geometry(1.0, 0.5, 0.2)
+    return CorrectionCache(well, grid, classify(well, grid), [geometry]), geometry
+
+
+@pytest.fixture(scope="module")
+def threshold32():
+    """The tuned n=32 resonance and eigenvalue wells on eta <= 3, as in the threshold workload."""
+    grid = build_grid(32, r_max=9.0)
+    geometries = (Geometry(1.5, 2.5, 0.3), Geometry(2.2, 1.1, 0.9))
+    caches = []
+    for ell, bracket in ((0, (3.0, 6.0)), (1, (35.0, 55.0))):
+        well = attractive_gaussian(resonance_tune(attractive_gaussian, ell, grid, bracket).coupling)
+        caches.append(CorrectionCache(well, grid, classify(well, grid), geometries, eta_top=3.0))
+    return caches, geometries
+
+
+class TestLevinBody:
+    def test_lobatto_differentiates_polynomials(self):
+        x, d = _lobatto(14)
+        assert x[0] == -1.0 and x[-1] == 1.0 and np.all(np.diff(x) > 0.0)
+        for k in range(14):
+            want = k * x ** max(k - 1, 0)
+            assert np.max(np.abs(d @ x**k - want)) <= 1e-12 * max(1.0, k * k)
+
+    @pytest.mark.parametrize("t", [2.0, 10.0, 1e2, 1e3, 3e3, 1e4, 3e4, 1e5])
+    def test_regular_well_against_oracle(self, regular16, t):
+        # the whole cache up to t = 1e4; past it the oracle would need over
+        # 1e8 nodes there, so both integrate up to eta = 2, where the Levin
+        # pieces are the same kind at larger t Delta lambda
+        cache, geometry = regular16
+        cut = cache.eta_nodes[-1] if t <= 1e4 else 2.0
+        edges, f = body_edges(cache, cut), shifted_body(cache, geometry)
+        rule = _levin_integral(t, edges, f, 1e-8)
+        want, rounding = knot_gauss(t, edges, f)
+        assert abs(rule.value - want) <= rule.error + rounding
+        assert rule.error + rounding <= 1e-6 * abs(rule.value)
+
+    def test_threshold_wells_against_oracle(self, threshold32):
+        # the eigenvalue well's cubic piece on [0, 1e-6] carries the rounding
+        # of W there; panels wider than it missed it by 2.3e-8 at t = 10
+        caches, geometries = threshold32
+        for cache in caches:
+            for g in geometries:
+                cut = cache.eta_nodes[-1]
+                edges, f = body_edges(cache, cut), shifted_body(cache, g)
+                for t in (10.0, 1e2, 1e3, 1e4):
+                    rule = _levin_integral(t, edges, f, 1e-8)
+                    want, rounding = knot_gauss(t, edges, f)
+                    allowance = rule.error + rounding + shift_rounding(cache, g, cut)
+                    assert abs(rule.value - want) <= allowance
+                    assert allowance <= 1e-6 * abs(rule.value)
+
+    def test_stationary_point_at_late_times(self, regular16, threshold32):
+        # past t ~ 1e12 the first knot interval [0, 1e-6] spans t lambda > 1
+        # and is split from eta_1, where t lambda = 1; the answer is within its
+        # estimate or raises, never silently wrong.  The oracle runs up to
+        # t lambda = 1e5 (1e-4 at t = 1e13); at 1e17 the split spans 3.5 decades.
+        cache, geometry = regular16
+        cases = [(cache, geometry)] + [(c, g) for c in threshold32[0] for g in threshold32[1]]
+        for (cache, g), (t, cut) in itertools.product(cases, ((1e13, 1e-4), (1e17, 1e-6))):
+            edges, f = body_edges(cache, cut), shifted_body(cache, g)
+            try:
+                rule = _levin_integral(t, edges, f, 1e-8)
+            except ConvergenceError:
+                continue
+            want, rounding = knot_gauss(t, edges, f)
+            assert abs(rule.value - want) <= rule.error + rounding + shift_rounding(cache, g, cut)
+            assert rule.error + rounding <= 1e-3 * abs(rule.value)
+        sample = evolution_kernel(1e13, geometry, regular16[0])
+        assert np.isfinite(sample.value) and np.isfinite(sample.est_error)
+
+    def test_body_cost_independent_of_t(self, regular16, monkeypatch):
+        # count the eta values the body's cubic is evaluated at, instead of timing
+        cache, geometry = regular16
+        evaluate, counts = cache.imag_difference, []
+
+        def counted(g, eta):
+            counts[-1] += np.size(eta)
+            return evaluate(g, eta)
+
+        monkeypatch.setattr(cache, "imag_difference", counted)
+        for t in (1e2, 1e5):
+            counts.append(0)
+            evolution_kernel(t, geometry, cache)
+        assert counts[0] == counts[1] > 0
+
 
 
 class TestPoleTail:
